@@ -27,6 +27,7 @@ from .quadrature import (
     Ball,
     Shell,
     integrate_interval,
+    integrate_intervals,
     integrate_region,
     integrate_sphere,
     sphere_nodes,
@@ -84,7 +85,7 @@ class HausdorffOperator:
 
     def sphere_factor(self, f: TestFunction, tol: float = 1e-12) -> float:
         """int_{S^{n-1}} Omega(y') h(y') dsigma(y') for separable f = g * h."""
-        key = id(f.angular)
+        key = (f.angular, tol)  # the key holds the angular factor, so it cannot be recycled
         if key not in self._sphere_factors:
             def g(points):
                 return self.omega(points) * f.angular_values(points)
@@ -92,13 +93,52 @@ class HausdorffOperator:
             self._sphere_factors[key] = integrate_sphere(self.dim, g, tol).value
         return self._sphere_factors[key]
 
-    def radial_apply(self, f: TestFunction, r: float, tol: float = 1e-9) -> float:
-        """The radial profile of the output at radius r (separable input)."""
+    def radial_apply(self, f: TestFunction, r, tol: float = 1e-9):
+        """The radial profile of the output at radius r (separable input).
+
+        ``r`` is a float, or an array of radii giving an array of values.
+        For an array and a bounded radial factor, every radius whose
+        s-domain stays away from 0 is solved in one breadth-first batch
+        (``integrate_intervals``) with the cuts and panel tolerances of the
+        per-radius path; the other radii take the per-radius path.
+        """
         if not f.separable:
             raise ValueError("radial_apply requires separable input")
-        if r <= 0:
+        if np.ndim(r) == 0:
+            if r <= 0:
+                raise ValueError("evaluation at the origin is out of scope")
+            return self.sphere_factor(f, tol / 3.0) * self._profile(f, float(r), tol / 3.0)
+        radii = np.asarray(r, dtype=float)
+        if np.any(radii <= 0):
             raise ValueError("evaluation at the origin is out of scope")
         sf = self.sphere_factor(f, tol / 3.0)
+        flat = radii.ravel()
+        out = np.zeros(flat.shape)
+        single = np.ones(flat.shape, dtype=bool)  # radii left to the per-radius path
+        fl, fh = f.support
+        if math.isfinite(fh):
+            philo, phihi = self.phi.support
+            slo = np.maximum(fl, flat / phihi) if math.isfinite(phihi) else np.full(flat.shape, fl)
+            shi = np.minimum(fh, flat / philo) if philo > 0.0 else np.full(flat.shape, fh)
+            live = shi > slo  # the others have an empty domain and stay 0
+            batch = live & (slo > 0.0)
+            single = live & ~batch
+            if np.any(batch):
+                rb = flat[batch]
+                align = [rb / c for c in (philo, phihi) if math.isfinite(c) and c > 0.0]
+                align += [np.full(rb.shape, j) for j in f.jumps if math.isfinite(j) and j > 0.0]
+
+                def integrand(s, i):
+                    return self.phi(rb[i] / s) / s * f.radial_values(s)
+
+                out[batch] = integrate_intervals(integrand, slo[batch], shi[batch], tol / 3.0,
+                                                 align=np.stack(align, axis=1) if align else None)
+        for i in np.flatnonzero(single):
+            out[i] = self._profile(f, float(flat[i]), tol / 3.0)
+        return sf * out.reshape(radii.shape)
+
+    def _profile(self, f: TestFunction, r: float, tol: float) -> float:
+        """The radial profile at r divided by the sphere factor, to tolerance tol."""
         fl, fh = f.support
         if math.isfinite(fh):
             # substitute s = r/t: the domain becomes the (bounded) support of
@@ -125,9 +165,8 @@ class HausdorffOperator:
                     e0_s = -phinf - 1.0 + ez
             align = tuple(r / c for c in (philo, phihi) if math.isfinite(c) and c > 0.0)
             align = align + tuple(j for j in f.jumps if math.isfinite(j) and j > 0.0)
-            res = integrate_interval(integrand_s, slo, shi, tol / 3.0,
-                                     exponent_at_zero=e0_s, align=align)
-            return sf * res.value
+            return integrate_interval(integrand_s, slo, shi, tol,
+                                      exponent_at_zero=e0_s, align=align).value
 
         lo, hi = _t_bounds(self.phi, f, r)
         if hi <= lo:
@@ -139,10 +178,9 @@ class HausdorffOperator:
 
         e0 = _combine_exponent_at_zero(self.phi.exponent_at_zero, f.radial_exponent_at_infinity) if lo == 0.0 else None
         einf = _combine_exponent_at_inf(self.phi.exponent_at_infinity, f.radial_exponent_at_zero) if math.isinf(hi) else None
-        res = integrate_interval(integrand, lo, hi, tol / 3.0, exponent_at_zero=e0,
-                                 exponent_at_infinity=einf,
-                                 align=_t_jump_cuts(self.phi, f, r))
-        return sf * res.value
+        return integrate_interval(integrand, lo, hi, tol, exponent_at_zero=e0,
+                                  exponent_at_infinity=einf,
+                                  align=_t_jump_cuts(self.phi, f, r)).value
 
     def apply(self, f: TestFunction, x, tol: float = 1e-9) -> float:
         """Transform value at a single point x != 0."""
@@ -178,14 +216,16 @@ class HausdorffOperator:
         memo: dict[float, float] = {}
 
         def profile(r_batch):
-            r = np.atleast_1d(np.asarray(r_batch, dtype=float))
-            out = np.empty(len(r))
-            for i, ri in enumerate(r):
-                key = float(ri)
-                if key not in memo:
-                    memo[key] = self.radial_apply(f, key, tol) if key > 0 else 0.0
-                out[i] = memo[key]
-            return out
+            keys = np.atleast_1d(np.asarray(r_batch, dtype=float)).tolist()
+            misses = [key for key in dict.fromkeys(keys) if key not in memo]
+            if misses:
+                radii = np.array(misses)
+                vals = np.zeros(radii.shape)
+                pos = radii > 0
+                if np.any(pos):
+                    vals[pos] = self.radial_apply(f, radii[pos], tol)
+                memo.update(zip(misses, vals.tolist()))
+            return np.array([memo[key] for key in keys])
 
         phi = self.phi
         fl, fh = f.support
@@ -203,10 +243,6 @@ class HausdorffOperator:
             exponents=(e0_img, einf_img),
             name=f"T[{f.name}]",
         )
-
-
-def hausdorff_apply(op: HausdorffOperator, f: TestFunction, x, tol: float = 1e-9) -> float:
-    return op.apply(f, x, tol)
 
 
 def hardy_apply(f: TestFunction, x, n: int, tol: float = 1e-9) -> float:
@@ -362,10 +398,6 @@ def _multiply_symbol(f: TestFunction, b: LipschitzSymbol) -> TestFunction:
         )
     general = lambda x: np.asarray(f(x), dtype=float) * np.asarray(b(x), dtype=float)
     return TestFunction(dim=f.dim, general=general, support=f.support, name=f"b*{f.name}")
-
-
-def commutator_apply(op: CommutatorOperator, f: TestFunction, x, tol: float = 1e-9) -> float:
-    return op.apply(f, x, tol)
 
 
 def lipschitz_pointwise_bound(b: LipschitzSymbol, x, t: float, yprime) -> float:

@@ -84,7 +84,34 @@ def _gl(order: int) -> tuple[np.ndarray, np.ndarray]:
     return _GL_CACHE[order]
 
 
+_PAIRS: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
+
+
+def _pair(orders: tuple[int, int]) -> tuple[np.ndarray, ...]:
+    """(low nodes, low weights, high nodes, high weights) of a Gauss-Legendre rule pair."""
+    if orders not in _PAIRS:
+        _PAIRS[orders] = (*_gl(orders[0]), *_gl(orders[1]))
+    return _PAIRS[orders]
+
+
 _REL_FLOOR = 5e-15  # no panel is refined below machine precision x its L1 mass
+
+
+def _judge(glo, ghi, half, tol, depth: int, pair: tuple[np.ndarray, ...]):
+    """The rule pair and acceptance test shared by every adaptive panel loop.
+
+    ``glo`` / ``ghi`` hold the integrand at the low- and high-order nodes of
+    ``pair`` on one panel (1-D) or on a stack of panels (2-D, one row each),
+    ``half`` the panel half-widths.  Returns (value, error estimate, accepted).
+    """
+    _, wlo, _, whi = pair
+    slo, shi, sabs = np.dot(glo, wlo), np.dot(ghi, whi), np.dot(np.abs(ghi), whi)
+    if ghi.ndim == 1:  # one panel: Python float arithmetic is cheaper than numpy scalars
+        slo, shi, sabs = float(slo), float(shi), float(sabs)
+    vhi = half * shi
+    err = abs(vhi - half * slo)
+    accepted = (err <= tol) | (err <= _REL_FLOOR * (half * sabs)) | (depth >= 48) | (half <= 1e-300)
+    return vhi, err, accepted
 
 
 def _panel(g, a: float, b: float, tol: float, depth: int = 0,
@@ -94,20 +121,55 @@ def _panel(g, a: float, b: float, tol: float, depth: int = 0,
     Bisection only triggers on disagreement between the low- and high-order
     rules, i.e. effectively at interior non-smooth points.
     """
-    xlo, wlo = _gl(orders[0])
-    xhi, whi = _gl(orders[1])
+    pair = _pair(orders)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    ghi = np.asarray(g(mid + half * xhi), dtype=float)
-    vlo = half * float(np.dot(wlo, np.asarray(g(mid + half * xlo), dtype=float)))
-    vhi = half * float(np.dot(whi, ghi))
-    scale = half * float(np.dot(whi, np.abs(ghi)))
-    err = abs(vhi - vlo)
-    if err <= tol or err <= _REL_FLOOR * scale or depth >= 48 or half <= 1e-300:
+    ghi = np.asarray(g(mid + half * pair[2]), dtype=float)
+    glo = np.asarray(g(mid + half * pair[0]), dtype=float)
+    vhi, err, accepted = _judge(glo, ghi, half, tol, depth, pair)
+    if accepted:
         return vhi, err
     lv, le = _panel(g, a, mid, 0.5 * tol, depth + 1, orders)
     rv, re = _panel(g, mid, b, 0.5 * tol, depth + 1, orders)
     return lv + rv, le + re
+
+
+def _panels_breadth_first(g, a: np.ndarray, b: np.ndarray, tol: np.ndarray,
+                          owner: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_panel`` (G10/G21) on many panels at once, one tree level per integrand call.
+
+    Panel j spans [a[j], b[j]] with tolerance tol[j] and belongs to integral
+    owner[j] < count; ``g(x, owner)`` evaluates each point x under the
+    integral named by its owner.  Bisection and acceptance follow ``_panel``
+    exactly, so every integral gets the same panel tree; only the order in
+    which accepted panels are summed differs.  Returns per-integral
+    (values, error estimates).
+    """
+    pair = _pair((10, 21))
+    nodes = np.concatenate((pair[0], pair[2]))
+    nlo = len(pair[0])
+    value = np.zeros(count)
+    err = np.zeros(count)
+    depth = 0
+    while a.size:
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        x = mid[:, None] + half[:, None] * nodes
+        gx = np.asarray(g(x.ravel(), np.repeat(owner, len(nodes))), dtype=float).reshape(x.shape)
+        v, e, accepted = _judge(gx[:, :nlo], gx[:, nlo:], half, tol, depth, pair)
+        if accepted.all():
+            return value + np.bincount(owner, v, count), err + np.bincount(owner, e, count)
+        value += np.bincount(owner[accepted], v[accepted], count)
+        err += np.bincount(owner[accepted], e[accepted], count)
+        split = ~accepted
+        a, mid, b = a[split], mid[split], b[split]
+        a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
+        tol = 0.5 * tol[split]
+        tol = np.concatenate((tol, tol))
+        owner = owner[split]
+        owner = np.concatenate((owner, owner))
+        depth += 1
+    return value, err
 
 
 def _panel_tol(tol: float, j: int) -> float:
@@ -337,6 +399,54 @@ def integrate_interval(
     if not converged:
         raise ToleranceNotMetError("interval tolerance not met")
     return QuadratureResult(value, err, tail, converged)
+
+
+def integrate_intervals(
+    g: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    a: np.ndarray,
+    b: np.ndarray,
+    tol: float,
+    align: np.ndarray | None = None,
+) -> np.ndarray:
+    """Integrate over many bounded intervals (a[i], b[i]), 0 < a[i] < b[i] < inf, in one solve.
+
+    ``g(x, i)`` evaluates integral i[k] at point x[k].  ``align[i]`` lists
+    integral i's extra cut points (non-finite entries are ignored).  Each
+    integral is cut and given panel tolerances exactly as
+    ``integrate_interval(g_i, a[i], b[i], tol, align=align[i])`` does, and
+    the panels of all integrals are refined together by
+    ``_panels_breadth_first``, so the values match that call to rounding.
+    Raises ToleranceNotMetError when any integral misses its tolerance.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    count = len(a)
+    if count == 0:
+        return np.zeros(0)
+    if not np.all((0.0 < a) & (a < b) & (b < math.inf)):
+        raise ValueError("integrate_intervals needs 0 < a < b < inf")
+    # dyadic cuts 2^k with floor(log2 a) < k < ceil(log2 b), as in integrate_interval
+    klo = np.floor(np.log2(a)) + 1.0
+    khi = np.ceil(np.log2(b))
+    ks = np.arange(klo.min(), max(khi.max(), klo.min()))
+    dyadic = np.where((ks >= klo[:, None]) & (ks < khi[:, None]), np.ldexp(1.0, ks.astype(int)), math.inf)
+    extra = np.empty((count, 0)) if align is None else np.asarray(align, dtype=float).reshape(count, -1)
+    cuts = np.concatenate((dyadic, extra), axis=1)
+    cuts = np.where((cuts > a[:, None]) & (cuts < b[:, None]), cuts, math.inf)
+    cuts = np.sort(np.concatenate((a[:, None], cuts, b[:, None]), axis=1), axis=1)
+    keep = np.isfinite(cuts)
+    keep[:, 1:] &= cuts[:, 1:] != cuts[:, :-1]
+    row = np.nonzero(keep)[0]
+    edge = cuts[keep]
+    first = np.searchsorted(row, np.arange(count))
+    inner = row[1:] == row[:-1]  # consecutive cuts of one integral bound a panel
+    owner = row[:-1][inner]
+    j = (np.arange(len(edge) - 1) - first[row[:-1]])[inner].astype(float)
+    panel_tol = np.maximum(tol / (7.0 * (1.0 + j * j)), 1e-17)  # _panel_tol, vectorised
+    value, err = _panels_breadth_first(g, edge[:-1][inner], edge[1:][inner], panel_tol, owner, count)
+    if np.any(err > np.maximum(tol, 1e-12 * np.abs(value))):  # integrate_interval's default rel
+        raise ToleranceNotMetError("interval tolerance not met")
+    return value
 
 
 # ---------------------------------------------------------------------------

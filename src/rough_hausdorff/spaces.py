@@ -469,7 +469,7 @@ def _cumulative_ball_integrals(
     vals = np.zeros(len(radii))
     vals[0] = integrate_region(
         f.dim, integrand, Ball(float(radii[0])), tol,
-        radial_exponent_at_zero=(p * f.radial_exponent_at_zero if f.radial_exponent_at_zero is not None else None),
+        radial_exponent_at_zero=(p * f.radial_exponent_at_zero + w.gamma if f.radial_exponent_at_zero is not None else None),
     ).value
     for i in range(1, len(radii)):
         vals[i] = integrate_region(f.dim, integrand, Shell(float(radii[i - 1]), float(radii[i])), tol).value

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rough_hausdorff.functions import (
     AngularProfile,
@@ -9,8 +10,10 @@ from rough_hausdorff.functions import (
     indicator_shell,
     kernel_presets,
     lipschitz_presets,
+    power_function,
     separable,
 )
+from rough_hausdorff import operators
 from rough_hausdorff.operators import (
     CommutatorOperator,
     HausdorffOperator,
@@ -160,3 +163,109 @@ def test_origin_rejected():
     f = indicator_shell(1, 0.0, 1.0)
     with pytest.raises(ValueError):
         HARDY1.apply(f, [0.0])
+
+
+def _batch_operators():
+    ops = []
+    for n in (1, 2):
+        ops.append(HausdorffOperator(kernel_presets("hardy", n), AngularProfile.constant(1.0, n), n))
+    ops.append(ADJ1)
+    ops.append(HausdorffOperator(kernel_presets("power", -0.5, 0.5, 4.0), AngularProfile.constant(1.0, 1), 1))
+    return ops
+
+
+def _batch_inputs(n):
+    bump = separable(n, lambda r: np.asarray(r, dtype=float) ** 0.5 + 1.0, support=(0.25, 4.0),
+                     jumps=(1.0,), name="bump")
+    return [
+        indicator_shell(n, 0.5, 2.0),
+        bump,
+        indicator_shell(n, 0.0, 1.0),  # support reaching 0: the expansion path
+        power_function(n, -0.3),  # unbounded: the t-path
+    ]
+
+
+# empty domains (below 0.5 for Hardy on the shell), shell edges and the bump's jump
+BATCH_RADII = np.array([0.1, 0.25, 0.3, 0.5, 0.7, 1.0, 1.3, 2.0, 2.5, 4.0, 8.0, 16.0, 64.0])
+
+
+@pytest.mark.parametrize("op", _batch_operators(), ids=lambda op: op.phi.name)
+def test_batched_radial_apply_matches_per_radius_calls(op):
+    for f in _batch_inputs(op.dim):
+        batched = op.radial_apply(f, BATCH_RADII, tol=1e-10)
+        single = np.array([op.radial_apply(f, float(r), tol=1e-10) for r in BATCH_RADII])
+        assert isinstance(op.radial_apply(f, 1.3), float)
+        assert batched.shape == BATCH_RADII.shape
+        np.testing.assert_allclose(batched, single, rtol=1e-14, atol=0.0, err_msg=f.name)
+    # the shell gives Hardy an empty domain below its lower edge
+    if op.phi.name.startswith("hardy"):
+        assert op.radial_apply(_batch_inputs(op.dim)[0], BATCH_RADII[:3]).tolist() == [0.0] * 3
+
+
+def test_batched_radial_apply_rejects_the_origin():
+    with pytest.raises(ValueError):
+        HARDY1.radial_apply(indicator_shell(1, 0.5, 2.0), np.array([1.0, 0.0]))
+
+
+def test_image_solves_each_profile_call_in_one_batch(monkeypatch):
+    calls = []
+    original = HausdorffOperator.radial_apply
+
+    def counted(self, f, r, tol=1e-9):
+        calls.append(np.size(r))
+        return original(self, f, r, tol)
+
+    monkeypatch.setattr(HausdorffOperator, "radial_apply", counted)
+    img = HARDY1.image(indicator_shell(1, 0.5, 2.0))
+    radii = np.array([0.3, 1.0, 3.0, 1.0, 0.0, 3.0])
+    vals = img.radial_values(radii)
+    assert calls == [3]  # three distinct positive radii, one call
+    np.testing.assert_allclose(vals, [0.0, 1.0, 1.0, 1.0, 0.0, 1.0], rtol=1e-9)  # 2 (min(r, 2) - 0.5) / r
+    img.radial_values(radii[:3])
+    assert calls == [3]  # memo hits
+
+
+def test_sphere_factor_cache_is_keyed_by_angular_factor_and_tol(monkeypatch):
+    op = HausdorffOperator(kernel_presets("hardy", 2), AngularProfile.constant(1.0, 2), 2)
+    stale = 0
+    for k in range(200):
+        # short-lived inputs: a cache keyed by id() sees recycled ids here
+        f = separable(2, lambda r: np.ones_like(np.asarray(r, dtype=float)),
+                      lambda p, _c=k + 1.0: np.full(np.atleast_2d(p).shape[0], _c), support=(0.5, 1.0))
+        stale += op.sphere_factor(f) != pytest.approx(2.0 * math.pi * (k + 1.0), rel=1e-12)
+    assert stale == 0
+
+    calls = []
+    original = operators.integrate_sphere
+
+    def counted(n, g, tol):
+        calls.append(tol)
+        return original(n, g, tol)
+
+    monkeypatch.setattr(operators, "integrate_sphere", counted)
+    f = indicator_shell(2, 0.5, 1.0)
+    op.sphere_factor(f, 1e-6)
+    op.sphere_factor(f, 1e-6)
+    op.sphere_factor(f, 1e-12)
+    assert calls == [1e-6, 1e-12]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([1, 2]),
+    st.floats(min_value=0.05, max_value=3.0),
+    st.floats(min_value=0.1, max_value=2.0),
+    st.floats(min_value=1.2, max_value=8.0),
+    st.lists(st.floats(min_value=0.05, max_value=40.0), min_size=1, max_size=25),
+)
+def test_batched_hardy_bump_closed_form(n, shift, lo, ratio, radii):
+    # Hardy: T f(r) = sf r^-n int_lo^min(r, hi) s^(n-1) s^a ds for f = s^a on [lo, hi]
+    a = shift - n  # a > -n
+    hi = lo * ratio
+    op = HausdorffOperator(kernel_presets("hardy", n), AngularProfile.constant(1.0, n), n)
+    f = separable(n, lambda s: np.asarray(s, dtype=float) ** a, support=(lo, hi))
+    r = np.array(radii)
+    got = op.radial_apply(f, r, tol=1e-11)
+    sf = 2.0 if n == 1 else 2.0 * math.pi
+    want = np.where(r > lo, sf * r ** -n * (np.minimum(r, hi) ** (n + a) - lo ** (n + a)) / (n + a), 0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)

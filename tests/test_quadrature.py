@@ -11,7 +11,10 @@ from rough_hausdorff.quadrature import (
     RadialIntegrand,
     Shell,
     integrate_halfline,
+    _panel,
+    _panels_breadth_first,
     integrate_interval,
+    integrate_intervals,
     integrate_region,
     integrate_sphere,
     sphere_surface,
@@ -116,3 +119,92 @@ def test_power_pair_halfline_matches_antiderivative(e0, einf):
     expected = 1.0 / (e0 + 1.0) - 1.0 / (einf + 1.0)
     res = integrate_halfline(RadialIntegrand(ev, e0, einf), 1e-9)
     assert res.value == pytest.approx(expected, rel=1e-7)
+
+
+def _jumpy(c):
+    # a jump at c and a kink at 2c force bisection of the panels around them
+    def g(t):
+        t = np.asarray(t, dtype=float)
+        return np.where(t < c, np.sqrt(t), 1.0 + np.abs(t - 2.0 * c))
+
+    return g
+
+
+class _Counted:
+    """An integrand that counts the points it is evaluated at."""
+
+    def __init__(self, g):
+        self.g = g
+        self.points = 0
+
+    def __call__(self, x, *owner):
+        self.points += np.size(x)
+        return self.g(x, *owner)
+
+
+def test_breadth_first_loop_matches_depth_first_panel():
+    # err is a difference of two rule values, so it agrees to rounding of the value
+    rng = np.random.default_rng(3)
+    a = rng.uniform(0.1, 1.0, 6)
+    b = a + rng.uniform(0.5, 3.0, 6)
+    c = a + rng.uniform(0.1, 0.4, 6) * (b - a)  # interior, off the bisection points
+    tol = np.array([1e-12, 1e-9, 1e-6, 1e-12, 1e-10, 1e-3])
+    batched = _Counted(lambda x, i: _jumpy(c[i])(x))
+    values, errs = _panels_breadth_first(batched, a, b, tol, np.arange(6), 6)
+    points = 0
+    for i in range(6):
+        single = _Counted(_jumpy(c[i]))
+        v, e = _panel(single, a[i], b[i], tol[i])
+        points += single.points
+        assert values[i] == pytest.approx(v, rel=1e-14)
+        assert errs[i] == pytest.approx(e, abs=1e-14 * abs(v))
+    assert batched.points == points > 6 * 31  # the same panel trees, with bisection
+
+
+def test_breadth_first_loop_sums_panels_per_integral():
+    # two integrals, each split over several panels with their own tolerances
+    a = np.array([0.5, 1.0, 3.0, 0.5, 2.0])
+    b = np.array([1.0, 3.0, 4.0, 2.0, 5.0])
+    tol = np.array([1e-12, 1e-11, 1e-10, 1e-12, 1e-11])
+    owner = np.array([0, 0, 0, 1, 1])
+    cs = np.array([2.3, 1.7])
+    values, errs = _panels_breadth_first(lambda x, i: _jumpy(cs[i])(x), a, b, tol, owner, 2)
+    for i in range(2):
+        parts = [_panel(_jumpy(cs[i]), a[j], b[j], tol[j]) for j in np.flatnonzero(owner == i)]
+        total = sum(v for v, _ in parts)
+        assert values[i] == pytest.approx(total, rel=1e-14)
+        assert errs[i] == pytest.approx(sum(e for _, e in parts), abs=1e-14 * abs(total))
+
+
+def test_intervals_match_interval_with_cuts_and_jumps():
+    a = np.array([0.3, 1.0, 0.7, 2.0 ** -3])
+    b = np.array([5.0, 1.5, 0.9, 4.0])
+    # the second integral's jump sits on its lower edge, the last one's on a dyadic cut
+    align = np.array([[1.7, math.inf], [1.0, 1.2], [0.8, -1.0], [1.0, 2.0]])
+    cs = align[:, 0]
+    values = integrate_intervals(lambda x, i: _jumpy(cs[i])(x), a, b, 1e-11, align=align)
+    for i in range(4):
+        cuts = tuple(c for c in align[i] if math.isfinite(c))
+        ref = integrate_interval(_jumpy(cs[i]), a[i], b[i], 1e-11, align=cuts).value
+        assert values[i] == pytest.approx(ref, rel=1e-14)
+
+
+def test_intervals_reject_unbounded_or_empty():
+    g = lambda x, i: np.ones_like(x)
+    assert integrate_intervals(g, np.zeros(0), np.zeros(0), 1e-9).shape == (0,)
+    for a, b in (([0.0], [1.0]), ([1.0], [math.inf]), ([2.0], [1.0])):
+        with pytest.raises(ValueError):
+            integrate_intervals(g, np.array(a), np.array(b), 1e-9)
+
+
+def test_intervals_cut_at_powers_of_two_in_one_integrand_call():
+    seen = []
+
+    def g(x, i):
+        seen.append((len(x), sorted(set(i.tolist()))))
+        return np.ones_like(x)
+
+    values = integrate_intervals(g, np.array([1.0, 0.75]), np.array([8.0, 1.5]), 1e-9)
+    # cuts 1, 2, 4, 8 and 0.75, 1, 1.5: five panels of 31 nodes, accepted at once
+    assert seen == [(5 * 31, [0, 1])]
+    np.testing.assert_allclose(values, [7.0, 0.75], rtol=1e-14)

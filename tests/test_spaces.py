@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rough_hausdorff.functions import indicator_shell, power_function, separable
+from rough_hausdorff.functions import TestFunction, indicator_shell, power_function, separable
 from rough_hausdorff.quadrature import Annulus, Ball
 from rough_hausdorff.spaces import (
     NormDivergentError,
@@ -197,3 +197,15 @@ def test_norm_result_serialization():
     res = herz_norm(indicator_shell(1, 0.5, 1.0), 0.0, 2, 2, W01)
     js = res.to_json()
     assert set(js) == {"value", "k_min", "k_max", "tail_bound", "attained_at"}
+
+
+def test_general_path_declares_weight_exponent_at_zero():
+    # |f|^p w ~ r^(p e + gamma) at 0: converges although p e = -1.04 <= -1
+    w = Weight.power(0.3, 1)
+    lam = -0.4
+    e = (1.0 + 0.3) * lam
+    general = TestFunction(dim=1, general=lambda x: np.linalg.norm(x, axis=1) ** e,
+                           radial_exponent_at_zero=e, radial_exponent_at_infinity=e)
+    twin = central_morrey_norm(power_function(1, e), 2, lam, w, strict=False)
+    res = central_morrey_norm(general, 2, lam, w, strict=False)
+    assert res.value == pytest.approx(twin.value, rel=1e-12)
