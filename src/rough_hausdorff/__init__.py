@@ -37,7 +37,7 @@ from .spaces import (
     two_weight_morrey_herz_norm,
     two_weight_morrey_norm,
 )
-from .weights import DyadicGeometry, Weight, WeightError, annulus_mass, ball_mass, dilation_mass_ratio, weight_eval
+from .weights import Weight, WeightError, annulus_mass, ball_mass
 
 __version__ = "0.1.0"
 
@@ -47,7 +47,6 @@ __all__ = [
     "Ball",
     "CommutatorOperator",
     "DivergentIntegralError",
-    "DyadicGeometry",
     "HausdorffOperator",
     "LipschitzSymbol",
     "NormDivergentError",
@@ -65,7 +64,6 @@ __all__ = [
     "annulus_mass",
     "ball_mass",
     "central_morrey_norm",
-    "dilation_mass_ratio",
     "hardy_apply",
     "herz_norm",
     "integrate_halfline",
@@ -80,5 +78,4 @@ __all__ = [
     "two_weight_herz_norm",
     "two_weight_morrey_herz_norm",
     "two_weight_morrey_norm",
-    "weight_eval",
 ]

@@ -27,7 +27,6 @@ from .functions import AngularProfile, RadialKernel, omega_norm
 from .quadrature import (
     DivergentIntegralError,
     RadialIntegrand,
-    ToleranceNotMetError,
     integrate_halfline,
     integrate_interval,
 )
@@ -52,39 +51,25 @@ class BoundConstant:
 
 
 def _power_integral(phi: RadialKernel, power: float, cid: str, params: dict, tol: float,
-                    extra_beta: float | None = None, inverted: bool = False) -> BoundConstant:
-    """integral of |Phi(t)| t^{power} [ (1+1/t)^beta ] dt, or with Phi(1/t).
+                    extra_beta: float | None = None, inverted: bool = False,
+                    signed: bool = False) -> BoundConstant:
+    """integral of |Phi(t)| t^{power} [ (1+1/t)^beta ] dt, or with Phi(1/t);
+    Phi itself instead of |Phi| when ``signed``.
 
     ``power`` is the net exponent multiplying |Phi(t)| (or |Phi(1/t)|).
     """
-    if inverted:
-        def ev(t):
-            t = np.asarray(t, dtype=float)
-            vals = np.abs(phi(1.0 / t)) * t ** power
-            if extra_beta is not None:
-                vals = vals * (1.0 + 1.0 / t) ** extra_beta
-            return vals
+    def ev(t):
+        t = np.asarray(t, dtype=float)
+        vals = phi(1.0 / t) if inverted else phi(t)
+        vals = (vals if signed else np.abs(vals)) * t ** power
+        if extra_beta is not None:
+            vals = vals * (1.0 + 1.0 / t) ** extra_beta
+        return vals
 
-        e0 = -phi.exponent_at_infinity + power
-        einf = -phi.exponent_at_zero + power
-        if phi.exponent_at_infinity == -math.inf:
-            e0 = math.inf
-        if phi.exponent_at_zero == math.inf:
-            einf = -math.inf
-    else:
-        def ev(t):
-            t = np.asarray(t, dtype=float)
-            vals = np.abs(phi(t)) * t ** power
-            if extra_beta is not None:
-                vals = vals * (1.0 + 1.0 / t) ** extra_beta
-            return vals
-
-        e0 = phi.exponent_at_zero + power
-        einf = phi.exponent_at_infinity + power
-        if phi.exponent_at_zero == math.inf:
-            e0 = math.inf
-        if phi.exponent_at_infinity == -math.inf:
-            einf = -math.inf
+    e0, einf = phi.exponent_at_zero, phi.exponent_at_infinity
+    if inverted:  # Phi(1/t) behaves like t^{-einf} at 0 and like t^{-e0} at infinity
+        e0, einf = -einf, -e0
+    e0, einf = e0 + power, einf + power
     if extra_beta is not None and math.isfinite(e0):
         e0 = e0 - extra_beta  # (1+1/t)^beta ~ t^-beta near 0
     integrand = RadialIntegrand(ev, e0, einf)
@@ -109,22 +94,8 @@ def c1(phi: RadialKernel, n: int, gamma: float, lam: float, tol: float = 1e-10) 
 def c1_signed(phi: RadialKernel, n: int, gamma: float, lam: float, tol: float = 1e-10) -> BoundConstant:
     """Same integral with Phi instead of |Phi|: the two-sided (corollary)
     constant for sign-definite kernels and the pushforward amplitude."""
-    if phi.sign == "nonnegative":
-        bc = c1(phi, n, gamma, lam, tol)
-        return BoundConstant("C1_1", bc.value, bc.divergent, bc.params, bc.abs_error)
-    power = -1.0 - (n + gamma) * lam
-
-    def ev(t):
-        t = np.asarray(t, dtype=float)
-        return phi(t) * t ** power
-
-    e0 = phi.exponent_at_zero + power if phi.exponent_at_zero != math.inf else math.inf
-    einf = phi.exponent_at_infinity + power if phi.exponent_at_infinity != -math.inf else -math.inf
-    try:
-        res = integrate_halfline(RadialIntegrand(ev, e0, einf), tol)
-    except DivergentIntegralError:
-        return BoundConstant("C1_1", None, True, {"n": n, "gamma": gamma, "lambda": lam})
-    return BoundConstant("C1_1", res.value, False, {"n": n, "gamma": gamma, "lambda": lam})
+    return _power_integral(phi, -1.0 - (n + gamma) * lam, "C1_1", {"n": n, "gamma": gamma, "lambda": lam},
+                           tol, signed=True)
 
 
 def c2(
@@ -173,22 +144,9 @@ def c3(
 
 def c3_signed(phi: RadialKernel, n: int, gamma: float, q: float, lam: float, alpha: float,
               tol: float = 1e-10) -> BoundConstant:
-    if phi.sign == "nonnegative":
-        bc = c3(phi, n, gamma, q, lam, alpha, tol)
-        return BoundConstant("C3_signed", bc.value, bc.divergent, bc.params, bc.abs_error)
-    power = -(1.0 - gamma / q - n / q + lam - alpha)
-
-    def ev(t):
-        t = np.asarray(t, dtype=float)
-        return phi(t) * t ** power
-
-    e0 = phi.exponent_at_zero + power if phi.exponent_at_zero != math.inf else math.inf
-    einf = phi.exponent_at_infinity + power if phi.exponent_at_infinity != -math.inf else -math.inf
-    try:
-        res = integrate_halfline(RadialIntegrand(ev, e0, einf), tol)
-    except DivergentIntegralError:
-        return BoundConstant("C3_signed", None, True, {})
-    return BoundConstant("C3_signed", res.value, False, {})
+    """Same integral as c3 with Phi instead of |Phi| (the pushforward amplitude)."""
+    params = {"n": n, "gamma": gamma, "q": q, "lambda": lam, "alpha": alpha}
+    return _power_integral(phi, -(1.0 - gamma / q - n / q + lam - alpha), "C3_signed", params, tol, signed=True)
 
 
 def c4(

@@ -1,7 +1,9 @@
 """Command-line interface: apply, norm, constant, verify, report.
 
-Exit codes for ``verify``: 0 when every row is PASS / SKIPPED /
-DIVERGENT-AS-PREDICTED, 1 on any FAIL, 2 on configuration errors.
+Kernel, sphere-symbol and weight specs go through the config registry of
+``harness``.  Exit codes: 2 from any subcommand on a malformed spec or
+configuration; ``verify`` otherwise gives 0 when every row is PASS /
+SKIPPED / DIVERGENT-AS-PREDICTED and 1 on any FAIL.
 """
 
 from __future__ import annotations
@@ -15,33 +17,35 @@ import numpy as np
 
 from . import bounds as bmod
 from . import exprs
-from .functions import AngularProfile, kernel_presets, lipschitz_presets, separable
-from .harness import ConfigError, default_config, load_config, run_suite, write_report
+from .functions import KERNEL_PARAMETERS, AngularProfile, RadialKernel, lipschitz_presets, separable
+from .harness import (
+    ConfigError,
+    _build_kernel,
+    _build_omega,
+    _build_weight,
+    default_config,
+    load_config,
+    run_suite,
+    write_report,
+)
 from .operators import CommutatorOperator, HausdorffOperator
 from .spaces import SpaceSpec
 from .weights import Weight
 
 
-def _parse_kernel(text: str):
-    parts = text.split(":")
-    if parts[0] == "hardy":
-        return kernel_presets("hardy", int(parts[1]))
-    if parts[0] == "adjoint_hardy":
-        return kernel_presets("adjoint_hardy")
-    if parts[0] == "power":
-        a = float(parts[1])
-        lo = float(parts[2]) if len(parts) > 2 else 0.0
-        hi = float(parts[3]) if len(parts) > 3 else math.inf
-        return kernel_presets("power", a, lo, hi)
-    if parts[0] in ("gaussian", "double_exp"):
-        return kernel_presets(parts[0])
-    raise SystemExit(f"unknown kernel spec {text!r}")
+def _cli_kernel(text: str) -> RadialKernel:
+    """A ``name[:arg...]`` kernel (``hardy:1``, ``power:-2.5:1:inf``) through the config registry."""
+    name, *args = text.split(":")
+    return _build_kernel({"preset": name, **dict(zip(KERNEL_PARAMETERS.get(name, ()), args))})
 
 
-def _parse_omega(text: str, n: int) -> AngularProfile:
-    if text.strip() == "1":
-        return AngularProfile.constant(1.0, n)
-    return AngularProfile.from_expression(text, n, nonvanishing=True)
+def _cli_omega(args) -> AngularProfile:
+    return _build_omega({"expr": args.omega, "dim": args.n})
+
+
+def _cli_weight(args) -> Weight:
+    return _build_weight({"gamma": args.gamma, "dim": args.n, "angular": args.weight_angular,
+                          "angular_lower_bound": args.weight_lower_bound})
 
 
 def _parse_test_function(args) -> separable:
@@ -53,13 +57,6 @@ def _parse_test_function(args) -> separable:
     exponents = (args.exponent_at_zero, args.exponent_at_infinity)
     return separable(args.n, radial, angular, support=support, exponents=exponents,
                      name=args.radial)
-
-
-def _parse_weight(args) -> Weight:
-    if args.weight_angular == "const":
-        return Weight.power(args.gamma, args.n)
-    fn = exprs.sphere_expression(args.weight_angular, args.n)
-    return Weight(args.gamma, fn, args.n, angular_lower_bound=args.weight_lower_bound)
 
 
 def _add_function_args(p: argparse.ArgumentParser) -> None:
@@ -127,12 +124,17 @@ def main(argv=None) -> int:
     p_report.add_argument("--csv", default=None, help="also write CSV here")
 
     args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except (ConfigError, exprs.ExpressionError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _run(args) -> int:
     if args.command == "apply":
         f = _parse_test_function(args)
-        phi = _parse_kernel(args.phi)
-        omega = _parse_omega(args.omega, args.n)
-        op = HausdorffOperator(phi, omega, args.n)
+        op = HausdorffOperator(_cli_kernel(args.phi), _cli_omega(args), args.n)
         if args.commutator_beta is not None:
             op = CommutatorOperator(op, lipschitz_presets("power", args.commutator_beta, args.n))
         out = []
@@ -146,11 +148,11 @@ def main(argv=None) -> int:
 
     if args.command == "norm":
         f = _parse_test_function(args)
-        w1 = _parse_weight(args)
+        w1 = _cli_weight(args)
         w2 = None
         if args.space.startswith("TwoWeight"):
             g2 = args.gamma2 if args.gamma2 is not None else args.gamma
-            w2 = Weight.power(g2, args.n)
+            w2 = _build_weight({"gamma": g2, "dim": args.n})
         spec = SpaceSpec(kind=args.space, p=args.p, q=args.q, alpha=args.alpha,
                          lam=args.lam, w1=w1, w2=w2)
         res = spec.evaluate(f, window=tuple(args.window))
@@ -158,7 +160,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "constant":
-        phi = _parse_kernel(args.phi)
+        phi = _cli_kernel(args.phi)
         if args.id == "c1":
             bc = bmod.c1(phi, args.n, args.gamma, args.lam)
         elif args.id == "c2":
@@ -174,12 +176,8 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "verify":
-        try:
-            cfg = load_config(args.config) if args.config else default_config()
-            report = run_suite(cfg)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
+        cfg = load_config(args.config) if args.config else default_config()
+        report = run_suite(cfg)
         paths = write_report(report, args.out_dir)
         npass = sum(1 for r in report.rows if r.verdict == "PASS")
         nfail = sum(1 for r in report.rows if r.verdict == "FAIL")
@@ -193,9 +191,8 @@ def main(argv=None) -> int:
         with open(args.infile, "r", encoding="utf-8") as fh:
             body = json.load(fh)
         rows = body["rows"]
-        widths = [max(len(str(r[k])) for r in rows + [{k: k}]) for k in
-                  ("case_id", "quantity", "value", "bound", "margin", "verdict")]
         header = ["case_id", "quantity", "value", "bound", "margin", "verdict"]
+        widths = [max(len(str(r[k])) for r in rows + [{k: k}]) for k in header]
         print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
         for r in rows:
             print("  ".join(str(r[k])[:w].ljust(w) for k, w in zip(header, widths)))

@@ -127,40 +127,27 @@ def _names(source: str) -> set[str]:
         return set()
 
 
+_SPHERE_VARIABLES = {1: ("s",), 2: ("theta",), 3: ("theta", "phi")}
+
+
 def sphere_expression(source: str, dim: int):
     """Expression on the unit sphere, as a callable of batched unit vectors.
 
     Coordinates: dim 1 uses s = +-1 (the point itself), dim 2 uses the
     angle theta, dim 3 uses azimuth theta and polar angle phi (from +z).
     """
-    if dim == 1:
-        raw = compile_expression(source, ("s",))
+    if dim not in _SPHERE_VARIABLES:
+        raise ExpressionError(f"unsupported dimension {dim}")
+    raw = compile_expression(source, _SPHERE_VARIABLES[dim])
 
-        def fn1(points):
-            pts = np.atleast_2d(np.asarray(points, dtype=float))
+    def fn(points):
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if dim == 1:
             return raw(pts[:, 0])
-
-        fn1.source = source
-        return fn1
-    if dim == 2:
-        raw = compile_expression(source, ("theta",))
-
-        def fn2(points):
-            pts = np.atleast_2d(np.asarray(points, dtype=float))
-            theta = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * math.pi)
+        theta = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * math.pi)
+        if dim == 2:
             return raw(theta)
+        return raw(theta, np.arccos(np.clip(pts[:, 2], -1.0, 1.0)))
 
-        fn2.source = source
-        return fn2
-    if dim == 3:
-        raw = compile_expression(source, ("theta", "phi"))
-
-        def fn3(points):
-            pts = np.atleast_2d(np.asarray(points, dtype=float))
-            theta = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * math.pi)
-            phi = np.arccos(np.clip(pts[:, 2], -1.0, 1.0))
-            return raw(theta, phi)
-
-        fn3.source = source
-        return fn3
-    raise ExpressionError(f"unsupported dimension {dim}")
+    fn.source = source
+    return fn

@@ -108,14 +108,6 @@ def morrey_extremal(omega: AngularProfile, weight: Weight, lam: float, p: float)
     )
 
 
-def herz_truncation_set(m: int) -> tuple[float, float]:
-    """S_m = {u > 0 : u >= 2^{-(m-1)}}, the scale set of the truncated
-    necessity integral; increasing in m with union (0, inf)."""
-    if m < 1:
-        raise ValueError("m >= 1")
-    return (2.0 ** (-(m - 1)), math.inf)
-
-
 def herz_extremal(omega: AngularProfile, weight: Weight, q: float, alpha: float, m: int) -> ExtremalFamily:
     """f_m = 0 on |x| < 1 and |x|^{-alpha - gamma/q - n/q - 2^{-m}} |Omega|^{q'-2} Omega on |x| >= 1."""
     if q <= 1.0:

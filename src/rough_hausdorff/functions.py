@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import exprs
-from .quadrature import ToleranceNotMetError, integrate_sphere, sphere_nodes
+from .quadrature import integrate_sphere, sphere_nodes
 from .weights import Weight
 
 
@@ -65,11 +65,7 @@ def omega_norm(
     n = omega.dim
     if math.isinf(r):
         pts, _ = sphere_nodes(n, 6 if n > 1 else 0)
-        vals = np.abs(omega(pts))
-        if weight is not None:
-            # weight does not change the essential sup
-            pass
-        return float(vals.max())
+        return float(np.abs(omega(pts)).max())
 
     def g(points):
         v = np.abs(omega(points)) ** r
@@ -107,8 +103,18 @@ class RadialKernel:
         return np.asarray(self.eval(np.asarray(t, dtype=float)), dtype=float)
 
 
+# the parameters of each kernel preset, in the order of its ``name:arg:...`` string form
+KERNEL_PARAMETERS = {
+    "hardy": ("n",),
+    "adjoint_hardy": (),
+    "power": ("a", "lo", "hi"),
+    "gaussian": (),
+    "double_exp": (),
+}
+
+
 def kernel_presets(kind: str, *args, **kwargs) -> RadialKernel:
-    """Kernel presets.
+    """Kernel presets; parameters by position (KERNEL_PARAMETERS order) or by name.
 
     hardy(n):        Phi(t) = t^-n on (1, inf)   -> the Hardy operator
     adjoint_hardy:   Phi(t) = 1 on (0, 1)        -> the adjoint Hardy operator
@@ -116,8 +122,9 @@ def kernel_presets(kind: str, *args, **kwargs) -> RadialKernel:
     gaussian:        Phi(t) = exp(-t^2)
     double_exp:      Phi(t) = exp(-t - 1/t)
     """
+    params = dict(zip(KERNEL_PARAMETERS.get(kind, ()), args), **kwargs)
     if kind == "hardy":
-        n = int(args[0]) if args else int(kwargs["n"])
+        n = int(params["n"])
 
         def hardy(t):
             t = np.asarray(t, dtype=float)
@@ -133,9 +140,9 @@ def kernel_presets(kind: str, *args, **kwargs) -> RadialKernel:
 
         return RadialKernel(adj, 0.0, -math.inf, "nonnegative", (0.0, 1.0), "adjoint_hardy")
     if kind == "power":
-        a = float(args[0]) if args else float(kwargs["a"])
-        lo = float(args[1]) if len(args) > 1 else float(kwargs.get("lo", 0.0))
-        hi = float(args[2]) if len(args) > 2 else float(kwargs.get("hi", math.inf))
+        a = float(params["a"])
+        lo = float(params.get("lo", 0.0))
+        hi = float(params.get("hi", math.inf))
         if not (0.0 <= lo < hi):
             raise ValueError("bad power kernel range")
 
@@ -164,16 +171,6 @@ def kernel_presets(kind: str, *args, **kwargs) -> RadialKernel:
 
         return RadialKernel(dexp, math.inf, -math.inf, "nonnegative", (0.0, math.inf), "double_exp")
     raise ValueError(f"unknown kernel preset {kind!r}")
-
-
-def kernel_from_expression(
-    source: str,
-    exponent_at_zero: float,
-    exponent_at_infinity: float,
-    sign: str = "mixed",
-    support: tuple[float, float] = (0.0, math.inf),
-) -> RadialKernel:
-    return RadialKernel(exprs.radial_expression(source), exponent_at_zero, exponent_at_infinity, sign, support, source)
 
 
 @dataclass(frozen=True)
@@ -357,19 +354,3 @@ def lipschitz_presets(kind: str, beta: float = 1.0, dim: int = 1, direction=None
             lambda x: np.zeros(np.atleast_2d(x).shape[0]), beta, 1.0, dim, name="constant"
         )
     raise ValueError(f"unknown lipschitz preset {kind!r}")
-
-
-def fit_power_exponent(fn: Callable[[np.ndarray], np.ndarray], side: str, width: float = 4.0) -> float:
-    """Least-squares slope of log|fn| on log-spaced samples near 0 or infinity."""
-    if side == "zero":
-        ts = np.geomspace(2.0 ** -width, 2.0 ** (-width + 2), 9)
-    elif side == "infinity":
-        ts = np.geomspace(2.0 ** (width - 2), 2.0 ** width, 9)
-    else:
-        raise ValueError("side must be 'zero' or 'infinity'")
-    vals = np.abs(np.asarray(fn(ts), dtype=float))
-    if np.all(vals == 0.0):
-        return math.inf if side == "zero" else -math.inf
-    mask = vals > 0
-    slope = np.polyfit(np.log(ts[mask]), np.log(vals[mask]), 1)[0]
-    return float(slope)

@@ -35,12 +35,14 @@ import io
 import json
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import bounds as bmod
+from . import exprs
 from .extremals import conjugate, herz_extremal, morrey_extremal, morrey_herz_extremal
 from .functions import (
     AngularProfile,
@@ -53,10 +55,8 @@ from .functions import (
     omega_norm,
     separable,
 )
-from .operators import CommutatorOperator, HausdorffOperator, lipschitz_pointwise_bound
+from .operators import CommutatorOperator, HausdorffOperator
 from .spaces import (
-    NormDivergentError,
-    NormResult,
     central_morrey_norm,
     herz_norm,
     morrey_herz_norm,
@@ -379,13 +379,6 @@ def _omega_conjugate(case: TheoremCase) -> float:
     return conjugate(p["q"])
 
 
-def _apply_operator(case: TheoremCase, f: TestFunction, tol: float = 1e-9) -> TestFunction:
-    op = HausdorffOperator(case.kernel, case.omega, case.w1.dim)
-    if case.symbol is not None:
-        return CommutatorOperator(op, case.symbol).image(f, tol)
-    return op.image(f, tol)
-
-
 # ---------------------------------------------------------------------------
 # checks
 # ---------------------------------------------------------------------------
@@ -415,16 +408,14 @@ def check_upper(case: TheoremCase, tol_rel: float = 1e-3) -> list[ReportRow]:
     best_name = ""
     skipped = 0
     op = HausdorffOperator(case.kernel, case.omega, case.w1.dim)
+    if case.symbol is not None:
+        op = CommutatorOperator(op, case.symbol)
     for f in case.corpus:
         nf = src(f).value
         if not (nf > 0.0 and math.isfinite(nf)):
             skipped += 1
             continue
-        if case.symbol is not None:
-            img = CommutatorOperator(op, case.symbol).image(f)
-        else:
-            img = op.image(f)
-        nt = tgt(img).value
+        nt = tgt(op.image(f)).value
         ratio = nt / nf
         if ratio > best:
             best, best_name = ratio, f.name
@@ -635,43 +626,48 @@ def check_divergence_control(case: TheoremCase, windows=(8, 16, 24)) -> list[Rep
 # configuration and the suite driver
 # ---------------------------------------------------------------------------
 
-def _build_weight(spec: dict) -> Weight:
-    gamma = float(spec["gamma"])
-    dim = int(spec["dim"])
-    angular = spec.get("angular", "const")
-    if angular == "const":
-        return Weight.power(gamma, dim)
-    from . import exprs
+@contextmanager
+def _spec_errors(kind: str, spec):
+    """Re-raise what a malformed spec trips (a missing key, a bad value, an
+    unknown preset, an unparsable expression) as ConfigError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"{kind} spec {spec!r}: missing key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{kind} spec {spec!r}: {exc}") from exc
 
-    fn = exprs.sphere_expression(angular, dim)
-    return Weight(gamma, fn, dim, angular_lower_bound=spec.get("angular_lower_bound"))
+
+def _build_weight(spec: dict) -> Weight:
+    with _spec_errors("weight", spec):
+        gamma = float(spec["gamma"])
+        dim = int(spec["dim"])
+        angular = spec.get("angular", "const")
+        if angular == "const":
+            return Weight.power(gamma, dim)
+        fn = exprs.sphere_expression(angular, dim)
+        return Weight(gamma, fn, dim, angular_lower_bound=spec.get("angular_lower_bound"))
 
 
 def _build_omega(spec: dict) -> AngularProfile:
-    dim = int(spec["dim"])
-    expr = spec.get("expr", "1")
-    if expr.strip() == "1":
-        return AngularProfile.constant(1.0, dim)
-    return AngularProfile.from_expression(expr, dim, nonvanishing=spec.get("nonvanishing", True))
+    with _spec_errors("omega", spec):
+        dim = int(spec["dim"])
+        expr = spec.get("expr", "1")
+        if expr.strip() == "1":
+            return AngularProfile.constant(1.0, dim)
+        return AngularProfile.from_expression(expr, dim, nonvanishing=spec.get("nonvanishing", True))
 
 
 def _build_kernel(spec: dict) -> RadialKernel:
-    preset = spec["preset"]
-    if preset == "hardy":
-        return kernel_presets("hardy", int(spec["n"]))
-    if preset == "adjoint_hardy":
-        return kernel_presets("adjoint_hardy")
-    if preset == "power":
-        return kernel_presets("power", float(spec["a"]), float(spec.get("lo", 0.0)),
-                              float(spec.get("hi", math.inf)))
-    if preset in ("gaussian", "double_exp"):
-        return kernel_presets(preset)
-    raise ConfigError(f"unknown kernel preset {preset!r}")
+    """A kernel preset from its config form {"preset": name, <parameters by name>}."""
+    with _spec_errors("kernel", spec):
+        params = dict(spec)
+        return kernel_presets(params.pop("preset"), **params)
 
 
 def _build_symbol(spec: dict, dim: int) -> LipschitzSymbol:
-    kind = spec.get("kind", "power")
-    return lipschitz_presets(kind, float(spec.get("beta", 1.0)), dim)
+    with _spec_errors("symbol", spec):
+        return lipschitz_presets(spec.get("kind", "power"), float(spec.get("beta", 1.0)), dim)
 
 
 def load_config(source) -> dict:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -168,14 +167,18 @@ class HausdorffOperator:
             return integrate_interval(integrand_s, slo, shi, tol,
                                       exponent_at_zero=e0_s, align=align).value
 
-        lo, hi = _t_bounds(self.phi, f, r)
-        if hi <= lo:
-            return 0.0
-
         def integrand(t):
             t = np.asarray(t, dtype=float)
             return self.phi(t) / t * f.radial_values(r / t)
 
+        return self._t_integral(integrand, f, r, tol)
+
+    def _t_integral(self, integrand, f: TestFunction, r: float, tol: float) -> float:
+        """integrand over the t-range where Phi(t) f(r y'/t) can be nonzero,
+        with the endpoint exponents and jump cuts that Phi and f declare."""
+        lo, hi = _t_bounds(self.phi, f, r)
+        if hi <= lo:
+            return 0.0
         e0 = _combine_exponent_at_zero(self.phi.exponent_at_zero, f.radial_exponent_at_infinity) if lo == 0.0 else None
         einf = _combine_exponent_at_inf(self.phi.exponent_at_infinity, f.radial_exponent_at_zero) if math.isinf(hi) else None
         return integrate_interval(integrand, lo, hi, tol, exponent_at_zero=e0,
@@ -192,22 +195,15 @@ class HausdorffOperator:
             return self.radial_apply(f, r, tol)
 
         pts, w = sphere_nodes(self.dim, 6 if self.dim > 1 else 0)
+        weights = w * self.omega(pts)
 
         def integrand(t):
             t = np.asarray(t, dtype=float)
             coords = (r / t)[:, None, None] * pts[None, :, :]
             vals = np.asarray(f(coords.reshape(-1, self.dim)), dtype=float).reshape(len(t), -1)
-            omv = self.omega(pts)
-            return self.phi(t) / t * (vals @ (w * omv))
+            return self.phi(t) / t * (vals @ weights)
 
-        lo, hi = _t_bounds(self.phi, f, r)
-        if hi <= lo:
-            return 0.0
-        e0 = _combine_exponent_at_zero(self.phi.exponent_at_zero, f.radial_exponent_at_infinity) if lo == 0.0 else None
-        einf = _combine_exponent_at_inf(self.phi.exponent_at_infinity, f.radial_exponent_at_zero) if math.isinf(hi) else None
-        return integrate_interval(integrand, lo, hi, tol / 3.0, exponent_at_zero=e0,
-                                  exponent_at_infinity=einf,
-                                  align=_t_jump_cuts(self.phi, f, r)).value
+        return self._t_integral(integrand, f, r, tol / 3.0)
 
     def image(self, f: TestFunction, tol: float = 1e-9) -> TestFunction:
         """The output as a radial TestFunction with memoized profile."""
@@ -283,40 +279,25 @@ class CommutatorOperator:
     symbol: LipschitzSymbol
 
     def apply(self, f: TestFunction, x, tol: float = 1e-9) -> float:
-        """Direct nested evaluation of the commutator integral at x."""
+        """The commutator at x: T applied to g(y) = f(y) (b(x) - b(y)).
+
+        g keeps f's support, jumps and exponent at 0; near infinity
+        |b(x) - b(y)| grows like |y|^beta, which raises the exponent there.
+        """
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        r = float(np.linalg.norm(x))
-        if r == 0.0:
-            raise ValueError("evaluation at the origin is out of scope")
-        op = self.base
         b = self.symbol
         bx = float(b(x[None, :])[0])
-        pts, w = sphere_nodes(op.dim, 6 if op.dim > 1 else 0)
-        omv = op.omega(pts)
-
-        def integrand(t):
-            t = np.asarray(t, dtype=float)
-            s = r / t
-            coords = s[:, None, None] * pts[None, :, :]
-            flat = coords.reshape(-1, op.dim)
-            fv = np.asarray(f(flat), dtype=float).reshape(len(t), -1)
-            bv = np.asarray(b(flat), dtype=float).reshape(len(t), -1)
-            inner = (fv * (bx - bv)) @ (w * omv)
-            return op.phi(t) / t * inner
-
-        lo, hi = _t_bounds(op.phi, f, r)
-        if hi <= lo:
-            return 0.0
-        e0 = None
-        if lo == 0.0:
-            e0 = _combine_exponent_at_zero(op.phi.exponent_at_zero, f.radial_exponent_at_infinity)
-            e0 = e0 - b.beta if math.isfinite(e0) else e0
-        einf = None
-        if math.isinf(hi):
-            einf = _combine_exponent_at_inf(op.phi.exponent_at_infinity, f.radial_exponent_at_zero)
-        return integrate_interval(integrand, lo, hi, tol / 3.0, exponent_at_zero=e0,
-                                  exponent_at_infinity=einf,
-                                  align=_t_jump_cuts(op.phi, f, r)).value
+        einf = f.radial_exponent_at_infinity
+        g = TestFunction(
+            dim=f.dim,
+            general=lambda y: np.asarray(f(y), dtype=float) * (bx - np.asarray(b(y), dtype=float)),
+            support=f.support,
+            radial_exponent_at_zero=f.radial_exponent_at_zero,
+            radial_exponent_at_infinity=einf + b.beta if einf is not None else None,
+            jumps=f.jumps,
+            name=f"(b(x)-b)*{f.name}",
+        )
+        return self.base.apply(g, x, tol)
 
     def apply_expanded(self, f: TestFunction, x, tol: float = 1e-9) -> float:
         """b(x) (T f)(x) - T(b f)(x); must match ``apply`` to tolerance."""
@@ -363,14 +344,7 @@ class CommutatorOperator:
 
 def _multiply_symbol(f: TestFunction, b: LipschitzSymbol) -> TestFunction:
     """b * f, kept separable when b is radial (|x|^beta) or linear <x, e>."""
-    if not f.separable:
-        return TestFunction(
-            dim=f.dim,
-            general=lambda x: np.asarray(f(x), dtype=float) * np.asarray(b(x), dtype=float),
-            support=f.support,
-            name=f"b*{f.name}",
-        )
-    if b.name.startswith("abs_power"):
+    if f.separable and b.name.startswith("abs_power"):
         beta = b.beta
         radial = f.radial_values
         e0 = f.radial_exponent_at_zero + beta if f.radial_exponent_at_zero is not None else None
@@ -383,7 +357,7 @@ def _multiply_symbol(f: TestFunction, b: LipschitzSymbol) -> TestFunction:
             exponents=(e0, einf),
             name=f"b*{f.name}",
         )
-    if b.name == "linear":
+    if f.separable and b.name == "linear":
         radial = f.radial_values
         angular = f.angular_values
         e0 = f.radial_exponent_at_zero + 1.0 if f.radial_exponent_at_zero is not None else None

@@ -532,13 +532,15 @@ def integrate_region(
     tol: float,
     radial_exponent_at_zero: float | None = None,
     radial_exponent_at_infinity: float | None = None,
+    align: tuple[float, ...] = (),
 ) -> QuadratureResult:
     """Integrate f over a radial region of R^n via polar factorization.
 
     ``f`` takes batched points of shape (m, n).  The sphere rule level is
     chosen adaptively on probe radii, then the radial integral runs with
     that fixed rule; declared exponents describe the point function's
-    behaviour near 0/inf (the r^{n-1} factor is added internally).
+    behaviour near 0/inf (the r^{n-1} factor is added internally), and
+    ``align`` lists radii where it jumps, as in ``integrate_interval``.
     """
     a, b = _radial_bounds(region)
 
@@ -574,4 +576,5 @@ def integrate_region(
     einf = None
     if radial_exponent_at_infinity is not None:
         einf = radial_exponent_at_infinity + (n - 1)
-    return integrate_interval(radial, a, b, tol, exponent_at_zero=e0, exponent_at_infinity=einf)
+    return integrate_interval(radial, a, b, tol, exponent_at_zero=e0, exponent_at_infinity=einf,
+                              align=align)

@@ -81,6 +81,11 @@ def _sphere_factor(f: TestFunction, q: float, w: Weight, tol: float) -> float:
     return integrate_sphere(f.dim, g, tol).value
 
 
+def _jump_radii(f: TestFunction) -> tuple[float, ...]:
+    """The finite, positive support edges and declared jumps of f: panel cut points."""
+    return tuple(c for c in (*f.support, *f.jumps) if math.isfinite(c) and c > 0.0)
+
+
 def _radial_chunk(f: TestFunction, q: float, w: Weight, lo: float, hi: float, tol: float) -> float:
     """integral of |radial part|^q r^{gamma + n - 1} over (lo, hi), support-clipped."""
     slo, shi = f.support
@@ -110,9 +115,8 @@ def _radial_chunk(f: TestFunction, q: float, w: Weight, lo: float, hi: float, to
                 f"test function {f.name!r} needs a radial exponent at infinity for full-space integrals"
             )
         einf = q * ei + expo if math.isfinite(ei) else -math.inf
-    align = tuple(c for c in (slo, shi, *f.jumps) if math.isfinite(c) and c > 0.0)
     return integrate_interval(g, lo, hi, tol, exponent_at_zero=e0, exponent_at_infinity=einf,
-                              align=align).value
+                              align=_jump_radii(f)).value
 
 
 def chunk_lq_norm(f: TestFunction, q: float, w: Weight, k: int, tol: float = 1e-11) -> float:
@@ -126,7 +130,7 @@ def chunk_lq_norm(f: TestFunction, q: float, w: Weight, k: int, tol: float = 1e-
     def integrand(x):
         return np.abs(f(x)) ** q * w(x)
 
-    val = integrate_region(f.dim, integrand, Annulus(k), tol).value
+    val = integrate_region(f.dim, integrand, Annulus(k), tol, align=_jump_radii(f)).value
     return val ** (1.0 / q)
 
 
@@ -152,7 +156,7 @@ def lq_norm(
         def integrand(x):
             return np.abs(f(x)) ** q * w(x)
 
-        return integrate_region(f.dim, integrand, region, tol).value ** (1.0 / q)
+        return integrate_region(f.dim, integrand, region, tol, align=_jump_radii(f)).value ** (1.0 / q)
     if region != "all":
         raise ValueError(f"unknown region {region!r}")
 
@@ -231,7 +235,7 @@ def _herz_engine(
     window: tuple[int, int],
     tol: float,
     strict: bool,
-) -> tuple[np.ndarray, NormResult]:
+) -> NormResult:
     """Shared sum machinery: terms tau_k = 2^{p log2_weight(k)} chunk_k^p."""
     _require_q(q)
     if p <= 0:
@@ -245,7 +249,7 @@ def _herz_engine(
     result = NormResult(value, k_min, k_max, norm_tail, None, diverged)
     if diverged and strict:
         raise NormDivergentError(f"Herz-type sum diverges: {why}", result)
-    return tau, result
+    return result
 
 
 def herz_norm(
@@ -259,8 +263,7 @@ def herz_norm(
     strict: bool = True,
 ) -> NormResult:
     """Weighted Herz norm (sum_k 2^{k alpha p} ||f chi_k||_{q,w}^p)^{1/p}."""
-    _, result = _herz_engine(f, q, w, lambda k: alpha * k, p, window, tol, strict)
-    return result
+    return _herz_engine(f, q, w, lambda k: alpha * k, p, window, tol, strict)
 
 
 def two_weight_herz_norm(
@@ -280,8 +283,7 @@ def two_weight_herz_norm(
     def lw(k: int) -> float:
         return (alpha / n) * math.log2(ball_mass(w1, 2.0 ** k))
 
-    _, result = _herz_engine(f, q, w2, lw, p, window, tol, strict)
-    return result
+    return _herz_engine(f, q, w2, lw, p, window, tol, strict)
 
 
 def _morrey_herz_engine(
@@ -444,6 +446,7 @@ def _cumulative_ball_integrals(
     tol: float,
 ) -> np.ndarray:
     """integral of |f|^p w over B(0, R) for each R in the increasing grid."""
+    align = _jump_radii(f)
     if f.separable:
         sphere = _sphere_factor(f, p, w, tol)
         expo = w.gamma + f.dim - 1
@@ -455,7 +458,6 @@ def _cumulative_ball_integrals(
         segs = np.zeros(len(radii))
         segs[0] = _radial_chunk(f, p, w, 0.0, float(radii[0]), tol)
         slo, shi = f.support
-        align = tuple(c for c in (slo, shi, *f.jumps) if math.isfinite(c) and c > 0.0)
         for i in range(1, len(radii)):
             a, b = float(radii[i - 1]), float(radii[i])
             if b <= slo or a >= shi:
@@ -470,9 +472,11 @@ def _cumulative_ball_integrals(
     vals[0] = integrate_region(
         f.dim, integrand, Ball(float(radii[0])), tol,
         radial_exponent_at_zero=(p * f.radial_exponent_at_zero + w.gamma if f.radial_exponent_at_zero is not None else None),
+        align=align,
     ).value
     for i in range(1, len(radii)):
-        vals[i] = integrate_region(f.dim, integrand, Shell(float(radii[i - 1]), float(radii[i])), tol).value
+        vals[i] = integrate_region(f.dim, integrand, Shell(float(radii[i - 1]), float(radii[i])), tol,
+                                   align=align).value
     return np.cumsum(vals)
 
 

@@ -89,11 +89,6 @@ class Weight:
         return Weight(gamma, _ones_angular, dim, angular_lower_bound=1.0)
 
 
-def weight_eval(w: Weight, x) -> float:
-    """Single-point weight evaluation."""
-    return float(w(np.atleast_2d(np.asarray(x, dtype=float)))[0])
-
-
 def ball_mass(w: Weight, radius: float) -> float:
     """w(B(0, R)) by the closed form; requires gamma > -n."""
     if w.gamma <= -w.dim:
@@ -106,46 +101,3 @@ def ball_mass(w: Weight, radius: float) -> float:
 def annulus_mass(w: Weight, k: int) -> float:
     """w(C_k) for the dyadic annulus C_k = B(0, 2^k) \\ B(0, 2^(k-1))."""
     return ball_mass(w, 2.0 ** k) - ball_mass(w, 2.0 ** (k - 1))
-
-
-def dilation_mass_ratio(w: Weight, t: float) -> float:
-    """w(B(0, R/t)) / w(B(0, R)) = t^-(gamma+n), independent of R."""
-    if w.gamma <= -w.dim:
-        raise WeightError("requires gamma > -n")
-    if t <= 0:
-        raise WeightError("t must be positive")
-    return t ** (-(w.gamma + w.dim))
-
-
-@dataclass(frozen=True)
-class DyadicGeometry:
-    """Dyadic balls B_k = {|x| <= 2^k} and annuli C_k = B_k \\ B_{k-1}."""
-
-    dim: int
-    k_min: int
-    k_max: int
-
-    def __post_init__(self):
-        if self.k_min > self.k_max:
-            raise ValueError("k_min must not exceed k_max")
-
-    def ball_radius(self, k: int) -> float:
-        return 2.0 ** k
-
-    def annulus_bounds(self, k: int) -> tuple[float, float]:
-        return 2.0 ** (k - 1), 2.0 ** k
-
-    def indices(self) -> range:
-        return range(self.k_min, self.k_max + 1)
-
-    def annulus_index(self, r: float) -> int:
-        """The k with r in (2^(k-1), 2^k]."""
-        if r <= 0:
-            raise ValueError("radius must be positive")
-        return math.ceil(math.log2(r) - 1e-12)
-
-    def chi(self, k: int, x) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
-        r = np.linalg.norm(pts, axis=1)
-        lo, hi = self.annulus_bounds(k)
-        return np.where((r > lo) & (r <= hi), 1.0, 0.0)

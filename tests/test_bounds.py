@@ -5,8 +5,10 @@ import pytest
 
 from rough_hausdorff.bounds import (
     c1,
+    c1_signed,
     c2,
     c3,
+    c3_signed,
     c4,
     c5,
     herz_lower_integral,
@@ -22,6 +24,21 @@ def test_c1_examples():
     assert res.divergent and res.value is None
     phi = RadialKernel(lambda t: np.exp(-np.asarray(t)) * np.asarray(t), 1.0, -math.inf, "nonnegative")
     assert c1(phi, 1, 0.0, 0.0).value == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("phi", [kernel_presets("hardy", 1), kernel_presets("power", -2.5, 1.0, math.inf),
+                                 kernel_presets("double_exp")], ids=lambda phi: phi.name)
+def test_signed_constants_flip_with_the_kernel(phi):
+    neg = RadialKernel(lambda t: -phi(t), phi.exponent_at_zero, phi.exponent_at_infinity,
+                       "nonpositive", phi.support, f"-{phi.name}")
+    # a nonnegative kernel: the signed constants are C1 and C3 under their own ids
+    for signed, plain, cid in ((c1_signed(phi, 1, 0.0, -0.1), c1(phi, 1, 0.0, -0.1), "C1_1"),
+                               (c3_signed(phi, 1, 0.0, 2.0, 0.5, 0.0), c3(phi, 1, 0.0, 2.0, 0.5, 0.0), "C3_signed")):
+        assert (signed.id, signed.value, signed.params) == (cid, plain.value, plain.params)
+    # a nonpositive kernel: -C1 and -C3 of the kernel itself
+    assert c1_signed(neg, 1, 0.0, -0.1).value == pytest.approx(-c1(neg, 1, 0.0, -0.1).value, rel=1e-12)
+    assert c3_signed(neg, 1, 0.0, 2.0, 0.5, 0.0).value == pytest.approx(
+        -c3(neg, 1, 0.0, 2.0, 0.5, 0.0).value, rel=1e-12)
 
 
 def test_c2_examples():

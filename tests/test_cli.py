@@ -1,8 +1,14 @@
+import argparse
 import json
+import math
 
+import numpy as np
 import pytest
 
-from rough_hausdorff.cli import main
+from rough_hausdorff.cli import _cli_kernel, _cli_omega, _cli_weight, main
+from rough_hausdorff.functions import KERNEL_PARAMETERS
+from rough_hausdorff.harness import _build_kernel, _build_omega, _build_weight
+from rough_hausdorff.quadrature import sphere_nodes
 
 
 def test_constant_subcommand(capsys):
@@ -76,3 +82,62 @@ def test_verify_config_error(tmp_path):
     bad.write_text('{"cases": [')
     rc = main(["verify", "--config", str(bad), "--out-dir", str(tmp_path / "out")])
     assert rc == 2
+
+
+BAD_CONFIGS = {
+    "kernel_missing_key": {"kernels": {"k": {"preset": "power"}}},
+    "weight_missing_key": {"weights": {"w": {"dim": 1}}},
+    "power_bad_range": {"kernels": {"k": {"preset": "power", "a": -2.0, "lo": 2, "hi": 1}}},
+    "omega_bad_expression": {"omegas": {"o": {"expr": "2 + bogus(", "dim": 2}}},
+}
+
+
+@pytest.mark.parametrize("config,phi", [(cfg, None) for cfg in BAD_CONFIGS.values()]
+                         + [(None, "power"), (None, "bogus")],
+                         ids=list(BAD_CONFIGS) + ["constant_power_no_args", "constant_unknown_preset"])
+def test_bad_spec_exits_2(config, phi, tmp_path, capsys):
+    if config is not None:
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        argv = ["verify", "--config", str(path), "--out-dir", str(tmp_path / "out")]
+    else:
+        argv = ["constant", "--id", "c1", "--phi", phi, "--n", "1", "--gamma", "0", "--lambda", "0.1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+KERNEL_FORMS = [
+    ("hardy:2", {"preset": "hardy", "n": 2}),
+    ("adjoint_hardy", {"preset": "adjoint_hardy"}),
+    ("power:-2.5:1:inf", {"preset": "power", "a": -2.5, "lo": 1.0, "hi": math.inf}),
+    ("power:-0.5", {"preset": "power", "a": -0.5}),
+    ("gaussian", {"preset": "gaussian"}),
+    ("double_exp", {"preset": "double_exp"}),
+]
+
+
+def test_kernel_forms_cover_every_preset():
+    assert {spec["preset"] for _, spec in KERNEL_FORMS} == set(KERNEL_PARAMETERS)
+
+
+@pytest.mark.parametrize("text,spec", KERNEL_FORMS, ids=[text for text, _ in KERNEL_FORMS])
+def test_kernel_string_and_config_forms_agree(text, spec):
+    a, b = _cli_kernel(text), _build_kernel(spec)
+    assert (a.support, a.exponent_at_zero, a.exponent_at_infinity, a.sign) == (
+        b.support, b.exponent_at_zero, b.exponent_at_infinity, b.sign)
+    ts = np.geomspace(1e-3, 1e3, 61)
+    np.testing.assert_array_equal(a(ts), b(ts))
+
+
+def test_weight_and_omega_flags_and_config_forms_agree():
+    pts, _ = sphere_nodes(2, 2)
+    args = argparse.Namespace(n=2, gamma=0.3, weight_angular="2 + cos(2*theta)/2", weight_lower_bound=1.5,
+                              omega="2 + cos(theta)")
+    a = _cli_weight(args)
+    b = _build_weight({"gamma": 0.3, "dim": 2, "angular": "2 + cos(2*theta)/2", "angular_lower_bound": 1.5})
+    assert (a.gamma, a.dim, a.angular_lower_bound, a.sphere_mass) == (b.gamma, b.dim, b.angular_lower_bound,
+                                                                      b.sphere_mass)
+    np.testing.assert_array_equal(a.angular(pts), b.angular(pts))
+    a, b = _cli_omega(args), _build_omega({"expr": "2 + cos(theta)", "dim": 2})
+    assert (a.dim, a.nonvanishing) == (b.dim, b.nonvanishing)
+    np.testing.assert_array_equal(a(pts), b(pts))

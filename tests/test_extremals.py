@@ -7,7 +7,6 @@ from rough_hausdorff.bounds import c1_signed, c3_signed
 from rough_hausdorff.extremals import (
     conjugate,
     herz_extremal,
-    herz_truncation_set,
     morrey_extremal,
     morrey_herz_extremal,
 )
@@ -78,13 +77,6 @@ def test_morrey_extremal_rejects_vanishing_symbol():
     # p = 4 gives p' = 4/3 < 2: |Omega|^{p'-2} blows up where Omega vanishes
     with pytest.raises(ValueError):
         morrey_extremal(om, w, -0.1, 4.0)
-
-
-def test_herz_truncation_sets():
-    assert herz_truncation_set(1) == (1.0, math.inf)
-    assert herz_truncation_set(3) == (0.25, math.inf)
-    lows = [herz_truncation_set(m)[0] for m in range(1, 8)]
-    assert all(lows[i + 1] < lows[i] for i in range(len(lows) - 1))  # S_m increasing
 
 
 def test_herz_extremal_support_and_chunks():

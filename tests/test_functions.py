@@ -7,7 +7,6 @@ from rough_hausdorff.functions import (
     AngularProfile,
     LipschitzSymbol,
     TestFunction,
-    fit_power_exponent,
     indicator_shell,
     kernel_presets,
     lipschitz_presets,
@@ -40,16 +39,6 @@ def test_kernel_presets_values():
     assert adj(np.array([2.0]))[0] == 0.0
     pw = kernel_presets("power", -2.5, 1.0, math.inf)
     assert pw(np.array([4.0]))[0] == pytest.approx(4.0 ** -2.5)
-
-
-def test_kernel_exponents_match_fitted_decay():
-    hardy1 = kernel_presets("hardy", 1)
-    assert abs(fit_power_exponent(hardy1, "infinity", width=8) - hardy1.exponent_at_infinity) < 0.05
-    hardy3 = kernel_presets("hardy", 3)
-    assert abs(fit_power_exponent(hardy3, "infinity", width=8) - hardy3.exponent_at_infinity) < 0.05
-    pw = kernel_presets("power", -1.7, 0.0, math.inf)
-    assert abs(fit_power_exponent(pw, "zero", width=8) + 1.7) < 0.05
-    assert abs(fit_power_exponent(pw, "infinity", width=8) + 1.7) < 0.05
 
 
 def test_kernel_sign_validation():

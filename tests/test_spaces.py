@@ -209,3 +209,34 @@ def test_general_path_declares_weight_exponent_at_zero():
     twin = central_morrey_norm(power_function(1, e), 2, lam, w, strict=False)
     res = central_morrey_norm(general, 2, lam, w, strict=False)
     assert res.value == pytest.approx(twin.value, rel=1e-12)
+
+
+def _general_shell(n, e, a, b):
+    """|x|^e on a < |x| <= b as a general point function.  Points whose norm
+    rounds to just outside an edge count as inside, so the value is constant
+    on each edge sphere."""
+    lo, hi = a * (1.0 - 1e-12), b * (1.0 + 1e-12)
+
+    def f(x):
+        r = np.linalg.norm(np.atleast_2d(np.asarray(x, dtype=float)), axis=1)
+        inside = (r > lo) & (r <= hi)
+        return np.where(inside, np.where(inside, r, 1.0) ** e, 0.0)
+
+    return TestFunction(dim=n, general=f, support=(a, b), name="general_shell")
+
+
+W_TILT2 = Weight(0.3, lambda p: 2.0 + (p[:, 0] ** 2 - p[:, 1] ** 2) / 2.0, 2, angular_lower_bound=1.5)
+
+
+@pytest.mark.parametrize("n,norm", [
+    (2, lambda f: herz_norm(f, 0.2, 2.0, 1.5, W_TILT2).value),
+    (1, lambda f: morrey_herz_norm(f, -0.1, 0.3, 2.0, 2.5, Weight.power(0.3, 1)).value),
+    (1, lambda f: central_morrey_norm(f, 2.0, -0.2, Weight.power(0.3, 1)).value),
+    (2, lambda f: lq_norm(f, 2.0, W_TILT2, Ball(1.0))),
+], ids=["herz_n2_tilted", "morrey_herz_n1", "central_morrey_n1", "lq_ball_n2_tilted"])
+def test_general_path_cuts_panels_at_support_edges(n, norm):
+    # edges just inside the dyadic annulus (1/2, 2]: without a cut there the
+    # jump hides in the node-free gap next to a panel edge
+    a, b, e = 0.501, 1.9995, 0.5
+    twin = norm(separable(n, lambda r: np.asarray(r, dtype=float) ** e, support=(a, b)))
+    assert norm(_general_shell(n, e, a, b)) == pytest.approx(twin, rel=1e-9)

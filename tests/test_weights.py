@@ -5,23 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rough_hausdorff.quadrature import Ball, integrate_region
-from rough_hausdorff.weights import (
-    DyadicGeometry,
-    Weight,
-    WeightError,
-    annulus_mass,
-    ball_mass,
-    dilation_mass_ratio,
-    weight_eval,
-)
-
-
-def test_weight_eval_examples():
-    assert weight_eval(Weight.power(0.0, 2), [3.0, 4.0]) == pytest.approx(1.0)
-    assert weight_eval(Weight.power(2.0, 2), [3.0, 4.0]) == pytest.approx(25.0)
-    # even angular profile 2 + cos(2 theta) evaluated at theta = 0
-    w = Weight(1.0, lambda p: 2.0 + (p[:, 0] ** 2 - p[:, 1] ** 2), 2, angular_lower_bound=1.0)
-    assert weight_eval(w, [2.0, 0.0]) == pytest.approx(6.0)
+from rough_hausdorff.weights import Weight, WeightError, annulus_mass, ball_mass
 
 
 def test_weight_rejects_origin():
@@ -42,16 +26,6 @@ def test_annulus_mass_examples():
     assert annulus_mass(w, 0) / ball_mass(w, 1.0) == pytest.approx(0.5)
     w2 = Weight.power(1.0, 2)
     assert annulus_mass(w2, 3) / ball_mass(w2, 8.0) == pytest.approx(0.875)
-
-
-def test_dilation_mass_ratio():
-    assert dilation_mass_ratio(Weight.power(0.0, 1), 2.0) == pytest.approx(0.5)
-    assert dilation_mass_ratio(Weight.power(1.0, 2), 2.0) == pytest.approx(2.0 ** -3)
-    assert dilation_mass_ratio(Weight.power(-0.5, 3), 0.5) == pytest.approx(2.0 ** 2.5)
-    # cross-check against ball masses at sampled R
-    w = Weight.power(-0.5, 3)
-    for R in (0.7, 1.0, 5.0):
-        assert ball_mass(w, R / 0.5) / ball_mass(w, R) == pytest.approx(2.0 ** 2.5, rel=1e-12)
 
 
 @pytest.mark.parametrize("gamma", [-0.9, -0.5, 0.0, 1.0, 2.5])
@@ -130,19 +104,3 @@ def test_angular_lower_bound_enforced():
 def test_angular_evenness_enforced():
     with pytest.raises(WeightError):
         Weight(0.0, lambda p: 2.0 + p[:, 0], 2)  # odd part breaks |t|-homogeneity
-
-
-def test_dyadic_geometry_partition():
-    geo = DyadicGeometry(2, -3, 3)
-    rng = np.random.default_rng(0)
-    pts = rng.standard_normal((500, 2)) * 2.0
-    r = np.linalg.norm(pts, axis=1)
-    inside = (r > geo.annulus_bounds(geo.k_min)[0]) & (r <= geo.ball_radius(geo.k_max))
-    total = np.zeros(len(pts))
-    for k in geo.indices():
-        total += geo.chi(k, pts)
-    # annuli are disjoint and cover exactly the shell between the extremes
-    assert np.array_equal(total > 0, inside)
-    assert np.all(total <= 1)
-    assert geo.annulus_index(1.0) == 0
-    assert geo.annulus_index(1.01) == 1
