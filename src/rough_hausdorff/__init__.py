@@ -18,10 +18,8 @@ from .quadrature import (
     Ball,
     DivergentIntegralError,
     QuadratureResult,
-    RadialIntegrand,
     Shell,
     ToleranceNotMetError,
-    integrate_halfline,
     integrate_region,
     integrate_sphere,
 )
@@ -52,7 +50,6 @@ __all__ = [
     "NormDivergentError",
     "NormResult",
     "QuadratureResult",
-    "RadialIntegrand",
     "RadialKernel",
     "Shell",
     "SpaceSpec",
@@ -66,7 +63,6 @@ __all__ = [
     "central_morrey_norm",
     "hardy_apply",
     "herz_norm",
-    "integrate_halfline",
     "integrate_region",
     "integrate_sphere",
     "kernel_presets",

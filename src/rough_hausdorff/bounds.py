@@ -24,12 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .functions import AngularProfile, RadialKernel, omega_norm
-from .quadrature import (
-    DivergentIntegralError,
-    RadialIntegrand,
-    integrate_halfline,
-    integrate_interval,
-)
+from .quadrature import DivergentIntegralError, integrate_interval
 from .weights import Weight
 
 
@@ -72,12 +67,12 @@ def _power_integral(phi: RadialKernel, power: float, cid: str, params: dict, tol
     e0, einf = e0 + power, einf + power
     if extra_beta is not None and math.isfinite(e0):
         e0 = e0 - extra_beta  # (1+1/t)^beta ~ t^-beta near 0
-    integrand = RadialIntegrand(ev, e0, einf)
     edges = [c for c in phi.support if math.isfinite(c) and c > 0.0]
     if inverted:
         edges = [1.0 / c for c in edges]
     try:
-        res = integrate_halfline(integrand, tol, align=tuple(edges))
+        res = integrate_interval(ev, 0.0, math.inf, tol, exponent_at_zero=e0, exponent_at_infinity=einf,
+                                 align=tuple(edges))
     except DivergentIntegralError:
         return BoundConstant(cid, None, True, params)
     return BoundConstant(cid, res.value, False, params, res.abs_error_estimate + res.tail_bound)

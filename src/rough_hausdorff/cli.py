@@ -3,7 +3,8 @@
 Kernel, sphere-symbol and weight specs go through the config registry of
 ``harness``.  Exit codes: 2 from any subcommand on a malformed spec or
 configuration; ``verify`` otherwise gives 0 when every row is PASS /
-SKIPPED / DIVERGENT-AS-PREDICTED and 1 on any FAIL.
+SKIPPED / DIVERGENT-AS-PREDICTED and 1 on any FAIL or ERROR (a case whose
+numerics raised).
 """
 
 from __future__ import annotations
@@ -46,6 +47,16 @@ def _cli_omega(args) -> AngularProfile:
 def _cli_weight(args) -> Weight:
     return _build_weight({"gamma": args.gamma, "dim": args.n, "angular": args.weight_angular,
                           "angular_lower_bound": args.weight_lower_bound})
+
+
+# the flags each constant needs beyond --phi, --n and --gamma (argparse dest names)
+_CONSTANT_FLAGS = {
+    "c1": ("lam",),
+    "c2": ("q",),
+    "c3": ("q", "lam", "alpha"),
+    "c4": ("p", "lambda1", "beta"),
+    "c5": ("q", "alpha1", "beta"),
+}
 
 
 def _parse_test_function(args) -> separable:
@@ -153,25 +164,35 @@ def _run(args) -> int:
         if args.space.startswith("TwoWeight"):
             g2 = args.gamma2 if args.gamma2 is not None else args.gamma
             w2 = _build_weight({"gamma": g2, "dim": args.n})
-        spec = SpaceSpec(kind=args.space, p=args.p, q=args.q, alpha=args.alpha,
-                         lam=args.lam, w1=w1, w2=w2)
+        try:
+            spec = SpaceSpec(kind=args.space, p=args.p, q=args.q, alpha=args.alpha,
+                             lam=args.lam, w1=w1, w2=w2)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         res = spec.evaluate(f, window=tuple(args.window))
         print(json.dumps(res.to_json(), indent=2))
         return 0
 
     if args.command == "constant":
+        missing = [name for name in _CONSTANT_FLAGS[args.id] if getattr(args, name) is None]
+        if missing:
+            raise ConfigError(f"{args.id} needs " + ", ".join(
+                "--lambda" if name == "lam" else f"--{name}" for name in missing))
         phi = _cli_kernel(args.phi)
-        if args.id == "c1":
-            bc = bmod.c1(phi, args.n, args.gamma, args.lam)
-        elif args.id == "c2":
-            bc = bmod.c2(phi, args.n, args.gamma, args.q, alpha=args.alpha)
-        elif args.id == "c3":
-            bc = bmod.c3(phi, args.n, args.gamma, args.q, args.lam, args.alpha)
-        elif args.id == "c4":
-            bc = bmod.c4(phi, args.n, args.gamma, args.p, args.lambda1, args.beta, lam=args.lam)
-        else:
-            bc = bmod.c5(phi, args.n, args.gamma, args.q, args.alpha1, args.beta,
-                         args.variant, lam=args.lam, alpha2=args.alpha2)
+        try:  # the constants' hypothesis and consistency checks raise ValueError
+            if args.id == "c1":
+                bc = bmod.c1(phi, args.n, args.gamma, args.lam)
+            elif args.id == "c2":
+                bc = bmod.c2(phi, args.n, args.gamma, args.q, alpha=args.alpha)
+            elif args.id == "c3":
+                bc = bmod.c3(phi, args.n, args.gamma, args.q, args.lam, args.alpha)
+            elif args.id == "c4":
+                bc = bmod.c4(phi, args.n, args.gamma, args.p, args.lambda1, args.beta, lam=args.lam)
+            else:
+                bc = bmod.c5(phi, args.n, args.gamma, args.q, args.alpha1, args.beta,
+                             args.variant, lam=args.lam, alpha2=args.alpha2)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         print(json.dumps(bc.to_json(), indent=2))
         return 0
 
@@ -181,10 +202,11 @@ def _run(args) -> int:
         paths = write_report(report, args.out_dir)
         npass = sum(1 for r in report.rows if r.verdict == "PASS")
         nfail = sum(1 for r in report.rows if r.verdict == "FAIL")
-        print(f"{npass} PASS, {nfail} FAIL, {len(report.rows)} rows -> {paths['json']}")
+        nerror = sum(1 for r in report.rows if r.verdict == "ERROR")
+        print(f"{npass} PASS, {nfail} FAIL, {nerror} ERROR, {len(report.rows)} rows -> {paths['json']}")
         for row in report.rows:
-            if row.verdict == "FAIL":
-                print(f"FAIL {row.case_id}/{row.quantity}: value={row.value} bound={row.bound} ({row.detail})")
+            if row.verdict in ("FAIL", "ERROR"):
+                print(f"{row.verdict} {row.case_id}/{row.quantity}: value={row.value} bound={row.bound} ({row.detail})")
         return report.exit_code()
 
     if args.command == "report":

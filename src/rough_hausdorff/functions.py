@@ -177,9 +177,10 @@ def kernel_presets(kind: str, *args, **kwargs) -> RadialKernel:
 class TestFunction:
     """Function on R^n, preferably separable radial(|x|) * angular(x/|x|).
 
-    ``support`` is the radial support hint (r_min, r_max); the radial
-    exponents describe power behaviour of the radial factor near 0 / inf
-    and default to +-inf outside a bounded support.
+    ``support`` = (r_min, r_max) is a contract: f vanishes for |x| outside
+    it, and every norm integrates only over the part of each shell inside
+    it.  The radial exponents describe power behaviour of the radial factor
+    near 0 / inf and default to +-inf outside a bounded support.
     """
 
     __test__ = False  # not a pytest collection target

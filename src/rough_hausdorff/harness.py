@@ -71,7 +71,7 @@ THEOREMS = (
     "Cor3_1", "Cor3_2", "Cor3_3", "Lemma2_1", "Ineq3_8",
 )
 
-PASS, FAIL, SKIPPED, DIVERGENT = "PASS", "FAIL", "SKIPPED", "DIVERGENT-AS-PREDICTED"
+PASS, FAIL, SKIPPED, DIVERGENT, ERROR = "PASS", "FAIL", "SKIPPED", "DIVERGENT-AS-PREDICTED", "ERROR"
 
 
 class ConfigError(ValueError):
@@ -140,7 +140,7 @@ class VerificationReport:
 
     @property
     def failed(self) -> bool:
-        return any(r.verdict == FAIL for r in self.rows)
+        return any(r.verdict in (FAIL, ERROR) for r in self.rows)
 
     def exit_code(self) -> int:
         return 1 if self.failed else 0
@@ -673,7 +673,14 @@ def _build_symbol(spec: dict, dim: int) -> LipschitzSymbol:
 def load_config(source) -> dict:
     if isinstance(source, dict):
         return source
-    text = open(source, "r", encoding="utf-8").read() if isinstance(source, str) else source.read()
+    if isinstance(source, str):
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {source!r}: {exc.strerror}") from exc
+    else:
+        text = source.read()
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -782,7 +789,10 @@ def run_suite(config) -> VerificationReport:
     rows: list[ReportRow] = []
     plots: dict[str, list] = {}
     for case in cases:
-        case_rows = run_case(case, tol_rel)
+        try:
+            case_rows = run_case(case, tol_rel)
+        except ArithmeticError as exc:  # a numerical failure stays inside its case
+            case_rows = [ReportRow(case.id, "error", "", "", "", ERROR, f"{type(exc).__name__}: {exc}")]
         rows.extend(case_rows)
         mrows = [(int(r.quantity.split("_m")[-1]), r.value) for r in case_rows
                  if r.quantity.startswith("lower_ratio_m")]

@@ -1,11 +1,13 @@
-"""Quadrature engines for the half-line, spheres S^{n-1} (n <= 3) and radial regions.
+"""Quadrature engines: one adaptive interval engine on (a, b), 0 <= a < b <= inf
+(with a batched form for many bounded intervals), spheres S^{n-1} (n <= 3)
+and radial regions.
 
-Half-line integrals use the substitution t = e^u so that power-law behaviour
-at both endpoints becomes exponential decay in u.  Integration proceeds over
-panels whose t-endpoints are powers of two (this keeps the jump points of
-the indicator presets, in particular t = 1, on panel boundaries) and expands
-outward, panels widening geometrically once the integrand is in its
-power-law regime, until either
+Interval integrals run over panels whose endpoints are powers of two (this
+keeps the jump points of the indicator presets, in particular t = 1, on
+panel boundaries).  An endpoint at 0 or infinity expands outward in
+u = ln t, so that power-law behaviour becomes exponential decay in u, panels
+widening geometrically once the integrand is in its power-law regime, until
+either
 
   * panel contributions certify a geometric tail (declared endpoint
     exponents give the exact panel ratio for power-law tails; the observed
@@ -35,20 +37,6 @@ class DivergentIntegralError(ArithmeticError):
 
 class ToleranceNotMetError(ArithmeticError):
     """Panel/node budget exhausted before reaching requested tolerance."""
-
-
-@dataclass(frozen=True)
-class RadialIntegrand:
-    """Integrand on (0, inf) with declared endpoint exponents.
-
-    eval must accept a numpy array of t values and return an array.
-    exponent_at_zero / exponent_at_infinity describe power-law behaviour
-    (+inf means vanishing identically near 0, -inf near infinity).
-    """
-
-    eval: Callable[[np.ndarray], np.ndarray]
-    exponent_at_zero: float
-    exponent_at_infinity: float
 
 
 @dataclass(frozen=True)
@@ -95,6 +83,8 @@ def _pair(orders: tuple[int, int]) -> tuple[np.ndarray, ...]:
 
 
 _REL_FLOOR = 5e-15  # no panel is refined below machine precision x its L1 mass
+_REL = 1e-12  # every interval integral is accepted at max(tol, _REL |value|)
+_MAX_PANELS = 4000  # expansion panels per side before ToleranceNotMetError
 
 
 def _judge(glo, ghi, half, tol, depth: int, pair: tuple[np.ndarray, ...]):
@@ -187,88 +177,77 @@ def _log_panel(g, a: float, b: float, tol: float, orders=(10, 21)) -> tuple[floa
     return _panel(gu, math.log(a), math.log(b), tol, orders=orders)
 
 
-class _Expansion:
-    """Outward panel expansion from ``edge`` toward 0 or infinity.
+def _expand(g, edge: float, direction: int, tol: float, rho_oct: float | None,
+            orders: tuple[int, int], value: float) -> tuple[float, float, float]:
+    """Outward panel expansion from ``edge`` toward 0 (direction -1) or infinity (+1).
 
     ``rho_oct`` is the declared per-octave decay ratio of panel values
     (< 1 for a convergent power-law side; None when no exponent is known,
     in which case only observed decay with unit-octave panels is used).
+    ``value`` is the integral accumulated so far; the tail is certified
+    against max(tol, _REL |value|) / 8.  Returns (value, error, tail bound).
     """
-
-    def __init__(self, g, edge: float, direction: int, tol: float,
-                 rho_oct: float | None, orders=(10, 21), max_panels: int = 4000,
-                 divergence_check: bool = True):
-        self.g = g
-        self.edge = edge
-        self.direction = direction
-        self.tol = tol
-        self.rho_oct = rho_oct
-        self.orders = orders
-        self.max_panels = max_panels
-        self.divergence_check = divergence_check
-
-    def run(self, value_ref: Callable[[], float], threshold: Callable[[], float]):
-        g, direction = self.g, self.direction
-        edge = self.edge
-        width = 1.0
-        total = 0.0
-        err = 0.0
-        tail = math.inf
-        zeros = 0
-        history: list[tuple[float, float]] = []  # (|value|, width)
-        hits = 0
-        for step in range(self.max_panels):
-            if direction > 0:
-                a, b = edge, edge * 2.0 ** width
-            else:
-                a, b = edge * 2.0 ** (-width), edge
-            v, e = _log_panel(g, a, b, _panel_tol(self.tol, step), self.orders)
-            total += v
-            err += e
-            if v == 0.0:
-                zeros += 1
-                if zeros >= 6:
-                    tail = 0.0
-                    break
-            else:
-                zeros = 0
-                history.append((abs(v), width))
-                if self.divergence_check and width == 1.0 and len(history) >= 3 and step >= 8:
-                    a1, a2, a3 = history[-1][0], history[-2][0], history[-3][0]
-                    if a1 > threshold() and a1 >= 0.999 * a2 >= 0.999 * 0.999 * a3 > 0:
-                        raise DivergentIntegralError(
-                            f"panel contributions fail to decay near {b if direction > 0 else a:.3g}"
-                        )
-                rho = self._effective_rho(history)
-                if rho is not None and rho < 1.0:
-                    rho_w = rho ** width
-                    tail = abs(v) * rho_w / (1.0 - rho_w)
-                    if tail <= threshold():
-                        hits += 1
-                        if hits >= 2 or tail == 0.0 or width > 1.0:
-                            break
-                    else:
-                        hits = 0
-            edge = b if direction > 0 else a
-            if self.rho_oct is not None and step >= 3 and abs(v) <= 1e-2 * max(abs(value_ref()), abs(total)):
-                width = min(width * 2.0, 8.0)
+    threshold = max(tol, _REL * abs(value)) / 8.0
+    width = 1.0
+    total = 0.0
+    err = 0.0
+    tail = math.inf
+    zeros = 0
+    history: list[tuple[float, float]] = []  # (|value|, width)
+    hits = 0
+    for step in range(_MAX_PANELS):
+        if direction > 0:
+            a, b = edge, edge * 2.0 ** width
         else:
-            raise ToleranceNotMetError("panel budget exhausted during expansion")
-        if not math.isfinite(tail):
-            raise ToleranceNotMetError("could not certify endpoint tail")
-        return total, err, tail
+            a, b = edge * 2.0 ** (-width), edge
+        v, e = _log_panel(g, a, b, _panel_tol(tol, step), orders)
+        total += v
+        err += e
+        if v == 0.0:
+            zeros += 1
+            if zeros >= 6:
+                tail = 0.0
+                break
+        else:
+            zeros = 0
+            history.append((abs(v), width))
+            if width == 1.0 and len(history) >= 3 and step >= 8:
+                a1, a2, a3 = history[-1][0], history[-2][0], history[-3][0]
+                if a1 > threshold and a1 >= 0.999 * a2 >= 0.999 * 0.999 * a3 > 0:
+                    raise DivergentIntegralError(
+                        f"panel contributions fail to decay near {b if direction > 0 else a:.3g}"
+                    )
+            rho = _effective_rho(history, rho_oct)
+            if rho is not None and rho < 1.0:
+                rho_w = rho ** width
+                tail = abs(v) * rho_w / (1.0 - rho_w)
+                if tail <= threshold:
+                    hits += 1
+                    if hits >= 2 or tail == 0.0 or width > 1.0:
+                        break
+                else:
+                    hits = 0
+        edge = b if direction > 0 else a
+        if rho_oct is not None and step >= 3 and abs(v) <= 1e-2 * max(abs(value), abs(total)):
+            width = min(width * 2.0, 8.0)
+    else:
+        raise ToleranceNotMetError("panel budget exhausted during expansion")
+    if not math.isfinite(tail):
+        raise ToleranceNotMetError("could not certify endpoint tail")
+    return total, err, tail
 
-    def _effective_rho(self, history) -> float | None:
-        obs = None
-        if len(history) >= 2:
-            (v1, w1), (v0, w0) = history[-1], history[-2]
-            if v0 > 0 and v1 > 0:
-                obs = (v1 / v0) ** (2.0 / (w0 + w1))
-        if self.rho_oct is None:
-            return min(obs, 0.999999) if obs is not None else None
-        if obs is None:
-            return self.rho_oct
-        return min(max(self.rho_oct, obs), 0.999999)
+
+def _effective_rho(history, rho_oct: float | None) -> float | None:
+    obs = None
+    if len(history) >= 2:
+        (v1, w1), (v0, w0) = history[-1], history[-2]
+        if v0 > 0 and v1 > 0:
+            obs = (v1 / v0) ** (2.0 / (w0 + w1))
+    if rho_oct is None:
+        return min(obs, 0.999999) if obs is not None else None
+    if obs is None:
+        return rho_oct
+    return min(max(rho_oct, obs), 0.999999)
 
 
 def _rho_toward_inf(exponent_at_infinity: float | None) -> float | None:
@@ -287,56 +266,6 @@ def _rho_toward_zero(exponent_at_zero: float | None) -> float | None:
     return 2.0 ** (-(exponent_at_zero + 1.0))
 
 
-def integrate_halfline(
-    f: RadialIntegrand,
-    tol: float,
-    rel: float = 1e-12,
-    max_panels_per_side: int = 4000,
-    align: tuple[float, ...] = (),
-) -> QuadratureResult:
-    """Integrate f over (0, inf); tolerance is max(tol, rel * |value|).
-
-    ``align`` lists known jump locations; panels inside the central block
-    are cut there (jumps hiding in the node-free gap at a panel edge would
-    otherwise defeat the two-rule error estimate).
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    e0, einf = f.exponent_at_zero, f.exponent_at_infinity
-    if e0 <= -1.0 or einf >= -1.0:
-        raise DivergentIntegralError(
-            f"declared exponents (at0={e0}, atinf={einf}) violate convergence"
-        )
-
-    cuts = sorted({2.0 ** j for j in range(-8, 9)} | {c for c in align if 2.0 ** -8 < c < 2.0 ** 8})
-    state = {"value": 0.0, "err": 0.0}
-    for i in range(len(cuts) - 1):
-        v, e = _log_panel(f.eval, cuts[i], cuts[i + 1], _panel_tol(tol, i))
-        state["value"] += v
-        state["err"] += e
-
-    def threshold():
-        return max(tol, rel * abs(state["value"])) / 8.0
-
-    tails = []
-    for direction, rho in ((+1, _rho_toward_inf(einf)), (-1, _rho_toward_zero(e0))):
-        exp = _Expansion(f.eval, 2.0 ** 8 if direction > 0 else 2.0 ** -8, direction, tol,
-                         rho, max_panels=max_panels_per_side)
-        t, e, tail = exp.run(lambda: state["value"], threshold)
-        state["value"] += t
-        state["err"] += e
-        tails.append(tail)
-
-    value, err = state["value"], state["err"]
-    tail_bound = sum(tails)
-    converged = err + tail_bound <= max(tol, rel * abs(value))
-    if not converged:
-        raise ToleranceNotMetError(
-            f"error estimate {err:.3g} + tail {tail_bound:.3g} exceeds tol {tol:.3g}"
-        )
-    return QuadratureResult(value, err, tail_bound, converged)
-
-
 def integrate_interval(
     g: Callable[[np.ndarray], np.ndarray],
     a: float,
@@ -344,19 +273,22 @@ def integrate_interval(
     tol: float,
     exponent_at_zero: float | None = None,
     exponent_at_infinity: float | None = None,
-    rel: float = 1e-12,
-    max_panels: int = 4000,
     orders: tuple[int, int] = (10, 21),
     align: tuple[float, ...] = (),
 ) -> QuadratureResult:
-    """Integrate g over (a, b), 0 <= a < b <= inf.
+    """Integrate g over (a, b), 0 <= a < b <= inf; tolerance is max(tol, 1e-12 |value|).
 
-    Endpoints at 0 or inf expand outward with the same certification as
-    integrate_halfline; ``align`` lists extra interior cut points (known
-    jump locations).  Finite positive endpoints are split at powers of two.
+    Finite positive endpoints bound a block of panels cut at powers of two
+    and at ``align`` (known jump locations: a jump hiding in the node-free
+    gap at a panel edge would otherwise defeat the two-rule error
+    estimate).  An endpoint at 0 or inf expands outward from that block,
+    the declared exponents giving the tail certification and the first
+    divergence gate.
     """
     if not (0.0 <= a < b):
         raise ValueError(f"bad interval ({a}, {b})")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     if a == 0.0 and exponent_at_zero is not None and exponent_at_zero <= -1.0:
         raise DivergentIntegralError("declared exponent at 0 violates convergence")
     if math.isinf(b) and exponent_at_infinity is not None and exponent_at_infinity >= -1.0:
@@ -369,35 +301,28 @@ def integrate_interval(
                                              math.ceil(math.log2(outer)))
                      if inner < 2.0 ** k < outer}
                   | {c for c in align if inner < c < outer})
-    state = {"value": 0.0, "err": 0.0}
+    value = err = tail = 0.0
     for i in range(len(cuts) - 1):
         v, e = _panel(g, cuts[i], cuts[i + 1], _panel_tol(tol, i), orders=orders)
-        state["value"] += v
-        state["err"] += e
+        value += v
+        err += e
 
-    def threshold():
-        return max(tol, rel * abs(state["value"])) / 8.0
-
-    tail = 0.0
+    sides = []
     if a == 0.0:
-        exp = _Expansion(g, inner, -1, tol, _rho_toward_zero(exponent_at_zero),
-                         orders=orders, max_panels=max_panels)
-        t, e, side_tail = exp.run(lambda: state["value"], threshold)
-        state["value"] += t
-        state["err"] += e
-        tail += side_tail
+        sides.append((inner, -1, _rho_toward_zero(exponent_at_zero)))
     if math.isinf(b):
-        exp = _Expansion(g, outer, +1, tol, _rho_toward_inf(exponent_at_infinity),
-                         orders=orders, max_panels=max_panels)
-        t, e, side_tail = exp.run(lambda: state["value"], threshold)
-        state["value"] += t
-        state["err"] += e
+        sides.append((outer, +1, _rho_toward_inf(exponent_at_infinity)))
+    for edge, direction, rho in sides:
+        v, e, side_tail = _expand(g, edge, direction, tol, rho, orders, value)
+        value += v
+        err += e
         tail += side_tail
 
-    value, err = state["value"], state["err"]
-    converged = err + tail <= max(tol, rel * abs(value))
+    converged = err + tail <= max(tol, _REL * abs(value))
     if not converged:
-        raise ToleranceNotMetError("interval tolerance not met")
+        raise ToleranceNotMetError(
+            f"error estimate {err:.3g} + tail {tail:.3g} exceeds tol {tol:.3g}"
+        )
     return QuadratureResult(value, err, tail, converged)
 
 
@@ -444,7 +369,7 @@ def integrate_intervals(
     j = (np.arange(len(edge) - 1) - first[row[:-1]])[inner].astype(float)
     panel_tol = np.maximum(tol / (7.0 * (1.0 + j * j)), 1e-17)  # _panel_tol, vectorised
     value, err = _panels_breadth_first(g, edge[:-1][inner], edge[1:][inner], panel_tol, owner, count)
-    if np.any(err > np.maximum(tol, 1e-12 * np.abs(value))):  # integrate_interval's default rel
+    if np.any(err > np.maximum(tol, _REL * np.abs(value))):
         raise ToleranceNotMetError("interval tolerance not met")
     return value
 

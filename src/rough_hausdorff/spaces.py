@@ -10,8 +10,12 @@ Conventions shared by every evaluator:
   * Continuous suprema over radii R > 0 run on the quarter-dyadic grid
     R = 2^(j/4); a supremand still climbing at the window edge is likewise
     reported divergent.
-  * Separable functions factor exactly into (radial integral) x (sphere
-    integral), and the sphere factor is computed once per norm.
+  * Every norm reduces to integrals of |f|^q w over shells a < |x| < b
+    (dyadic annuli, or the segments between grid radii), computed by one
+    helper, ``_shell_integrals``.  It clips each shell to f's support and
+    skips the empty ones.  A separable function factors exactly into a
+    radial integral per shell times one sphere integral per norm; any
+    other function gets one region integral per shell.
 
 q < 1 is rejected: the shell norms would only be quasi-norms and every
 boundedness statement exercised here assumes q >= 1.
@@ -30,6 +34,7 @@ from .quadrature import (
     Annulus,
     Ball,
     Shell,
+    _radial_bounds,
     integrate_interval,
     integrate_region,
     integrate_sphere,
@@ -86,52 +91,57 @@ def _jump_radii(f: TestFunction) -> tuple[float, ...]:
     return tuple(c for c in (*f.support, *f.jumps) if math.isfinite(c) and c > 0.0)
 
 
-def _radial_chunk(f: TestFunction, q: float, w: Weight, lo: float, hi: float, tol: float) -> float:
-    """integral of |radial part|^q r^{gamma + n - 1} over (lo, hi), support-clipped."""
+def _shell_integrals(f: TestFunction, q: float, w: Weight, edges, tol: float,
+                     orders: tuple[int, int] = (10, 21)) -> np.ndarray:
+    """integral of |f|^q w over each shell edges[i] < |x| < edges[i+1].
+
+    Each shell is clipped to f.support and skipped when that leaves it
+    empty.  A separable f is a radial integral per shell (under the rule
+    pair ``orders``) times one sphere factor; any other f is a region
+    integral per shell.  Both declare |f|^q w ~ r^{q e + gamma} at 0 and
+    infinity, e being f's radial exponent there.
+    """
+    align = _jump_radii(f)
+    if f.separable:
+        sphere = _sphere_factor(f, q, w, tol)
+        expo = w.gamma + f.dim - 1
+
+        def radial(r):
+            r = np.asarray(r, dtype=float)
+            return np.abs(f.radial_values(r)) ** q * r ** expo
+
+        def shell(lo, hi, e0, einf):
+            return integrate_interval(radial, lo, hi, tol, exponent_at_zero=e0, exponent_at_infinity=einf,
+                                      orders=orders, align=align).value * sphere
+    else:
+        expo = w.gamma  # integrate_region adds the r^{n-1} of polar coordinates
+
+        def point(x):
+            return np.abs(f(x)) ** q * w(x)
+
+        def shell(lo, hi, e0, einf):
+            return integrate_region(f.dim, point, Shell(lo, hi), tol, radial_exponent_at_zero=e0,
+                                    radial_exponent_at_infinity=einf, align=align).value
+
+    def declared(e, end: str):  # q e + expo, +-inf when f vanishes near that end
+        if e is None:
+            raise ValueError(f"test function {f.name!r} needs a radial exponent at {end} for integrals reaching it")
+        return q * e + expo
+
     slo, shi = f.support
-    lo = max(lo, slo)
-    hi = min(hi, shi)
-    if hi <= lo:
-        return 0.0
-    expo = w.gamma + f.dim - 1
-
-    def g(r):
-        r = np.asarray(r, dtype=float)
-        return np.abs(f.radial_values(r)) ** q * r ** expo
-
-    e0 = None
-    if lo == 0.0:
-        ez = f.radial_exponent_at_zero
-        if ez is None:
-            raise ValueError(
-                f"test function {f.name!r} needs a radial exponent at 0 for integrals down to 0"
-            )
-        e0 = q * ez + expo if math.isfinite(ez) else math.inf
-    einf = None
-    if math.isinf(hi):
-        ei = f.radial_exponent_at_infinity
-        if ei is None:
-            raise ValueError(
-                f"test function {f.name!r} needs a radial exponent at infinity for full-space integrals"
-            )
-        einf = q * ei + expo if math.isfinite(ei) else -math.inf
-    return integrate_interval(g, lo, hi, tol, exponent_at_zero=e0, exponent_at_infinity=einf,
-                              align=_jump_radii(f)).value
+    out = np.zeros(len(edges) - 1)
+    for i in range(len(out)):
+        lo, hi = max(float(edges[i]), slo), min(float(edges[i + 1]), shi)
+        if hi > lo:
+            out[i] = shell(lo, hi,
+                           declared(f.radial_exponent_at_zero, "0") if lo == 0.0 else None,
+                           declared(f.radial_exponent_at_infinity, "infinity") if math.isinf(hi) else None)
+    return out
 
 
 def chunk_lq_norm(f: TestFunction, q: float, w: Weight, k: int, tol: float = 1e-11) -> float:
     """Shell norm || f chi_k ||_{q, w} over the dyadic annulus C_k."""
-    _require_q(q)
-    if f.separable:
-        sphere = _sphere_factor(f, q, w, tol)
-        radial = _radial_chunk(f, q, w, 2.0 ** (k - 1), 2.0 ** k, tol)
-        return (radial * sphere) ** (1.0 / q)
-
-    def integrand(x):
-        return np.abs(f(x)) ** q * w(x)
-
-    val = integrate_region(f.dim, integrand, Annulus(k), tol, align=_jump_radii(f)).value
-    return val ** (1.0 / q)
+    return lq_norm(f, q, w, Annulus(k), tol)
 
 
 def lq_norm(
@@ -144,19 +154,8 @@ def lq_norm(
 ) -> float:
     """Weighted L^q norm over a region ('all', Ball, Annulus or Shell)."""
     _require_q(q)
-    if isinstance(region, Annulus):
-        return chunk_lq_norm(f, q, w, region.k, tol)
-    if isinstance(region, (Ball, Shell)):
-        lo, hi = (0.0, region.radius) if isinstance(region, Ball) else (region.a, region.b)
-        if f.separable:
-            sphere = _sphere_factor(f, q, w, tol)
-            radial = _radial_chunk(f, q, w, lo, hi, tol)
-            return (radial * sphere) ** (1.0 / q)
-
-        def integrand(x):
-            return np.abs(f(x)) ** q * w(x)
-
-        return integrate_region(f.dim, integrand, region, tol, align=_jump_radii(f)).value ** (1.0 / q)
+    if isinstance(region, (Ball, Annulus, Shell)):
+        return float(_shell_integrals(f, q, w, _radial_bounds(region), tol)[0]) ** (1.0 / q)
     if region != "all":
         raise ValueError(f"unknown region {region!r}")
 
@@ -169,15 +168,9 @@ def lq_norm(
 
 
 def _chunk_table(f: TestFunction, q: float, w: Weight, window: tuple[int, int], tol: float) -> np.ndarray:
+    """Shell norms || f chi_k ||_{q, w} for k_min <= k <= k_max."""
     k_min, k_max = window
-    if f.separable:
-        sphere = _sphere_factor(f, q, w, tol)
-        out = np.zeros(k_max - k_min + 1)
-        for i, k in enumerate(range(k_min, k_max + 1)):
-            radial = _radial_chunk(f, q, w, 2.0 ** (k - 1), 2.0 ** k, tol)
-            out[i] = (radial * sphere) ** (1.0 / q)
-        return out
-    return np.array([chunk_lq_norm(f, q, w, k, tol) for k in range(k_min, k_max + 1)])
+    return _shell_integrals(f, q, w, 2.0 ** np.arange(k_min - 1, k_max + 1), tol) ** (1.0 / q)
 
 
 def _side_tail(terms: np.ndarray, side: str) -> tuple[float, bool, str]:
@@ -446,38 +439,7 @@ def _cumulative_ball_integrals(
     tol: float,
 ) -> np.ndarray:
     """integral of |f|^p w over B(0, R) for each R in the increasing grid."""
-    align = _jump_radii(f)
-    if f.separable:
-        sphere = _sphere_factor(f, p, w, tol)
-        expo = w.gamma + f.dim - 1
-
-        def g(r):
-            r = np.asarray(r, dtype=float)
-            return np.abs(f.radial_values(r)) ** p * r ** expo
-
-        segs = np.zeros(len(radii))
-        segs[0] = _radial_chunk(f, p, w, 0.0, float(radii[0]), tol)
-        slo, shi = f.support
-        for i in range(1, len(radii)):
-            a, b = float(radii[i - 1]), float(radii[i])
-            if b <= slo or a >= shi:
-                continue
-            segs[i] = integrate_interval(g, a, b, tol, orders=(6, 13), align=align).value
-        return np.cumsum(segs) * sphere
-
-    def integrand(x):
-        return np.abs(f(x)) ** p * w(x)
-
-    vals = np.zeros(len(radii))
-    vals[0] = integrate_region(
-        f.dim, integrand, Ball(float(radii[0])), tol,
-        radial_exponent_at_zero=(p * f.radial_exponent_at_zero + w.gamma if f.radial_exponent_at_zero is not None else None),
-        align=align,
-    ).value
-    for i in range(1, len(radii)):
-        vals[i] = integrate_region(f.dim, integrand, Shell(float(radii[i - 1]), float(radii[i])), tol,
-                                   align=align).value
-    return np.cumsum(vals)
+    return np.cumsum(_shell_integrals(f, p, w, np.concatenate(([0.0], radii)), tol, orders=(6, 13)))
 
 
 def _morrey_sup(

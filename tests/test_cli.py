@@ -92,16 +92,29 @@ BAD_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("config,phi", [(cfg, None) for cfg in BAD_CONFIGS.values()]
-                         + [(None, "power"), (None, "bogus")],
-                         ids=list(BAD_CONFIGS) + ["constant_power_no_args", "constant_unknown_preset"])
-def test_bad_spec_exits_2(config, phi, tmp_path, capsys):
+CONSTANT = ["constant", "--id", "c1", "--n", "1", "--gamma", "0"]
+BAD_ARGV = {
+    "constant_power_no_args": CONSTANT + ["--phi", "power", "--lambda", "0.1"],
+    "constant_unknown_preset": CONSTANT + ["--phi", "bogus", "--lambda", "0.1"],
+    "constant_c3_without_q": ["constant", "--id", "c3", "--phi", "hardy:1", "--n", "1", "--gamma", "0",
+                              "--lambda", "0.5", "--alpha", "0"],
+    "norm_herz_without_p": ["norm", "--space", "Herz", "--q", "2", "--alpha", "0", "--n", "1",
+                            "--radial", "pow(r,-0.1)", "--exponent-at-zero", "-0.1",
+                            "--exponent-at-infinity", "-0.1"],
+    "verify_missing_config": ["verify", "--config", "{tmp}/missing.json", "--out-dir", "{tmp}/out"],
+}
+
+
+@pytest.mark.parametrize("config,argv", [(cfg, None) for cfg in BAD_CONFIGS.values()]
+                         + [(None, argv) for argv in BAD_ARGV.values()],
+                         ids=list(BAD_CONFIGS) + list(BAD_ARGV))
+def test_bad_spec_exits_2(config, argv, tmp_path, capsys):
     if config is not None:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(config))
         argv = ["verify", "--config", str(path), "--out-dir", str(tmp_path / "out")]
     else:
-        argv = ["constant", "--id", "c1", "--phi", phi, "--n", "1", "--gamma", "0", "--lambda", "0.1"]
+        argv = [a.format(tmp=tmp_path) for a in argv]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("config error: ")
 

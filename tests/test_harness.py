@@ -6,6 +6,7 @@ import pytest
 
 from rough_hausdorff.functions import AngularProfile, LipschitzSymbol, kernel_presets, lipschitz_presets
 from rough_hausdorff.harness import (
+    ERROR,
     ConfigError,
     TheoremCase,
     check_divergence_control,
@@ -214,6 +215,21 @@ def test_config_error_reporting():
         run_suite({"cases": [{"id": "x", "theorem": "T9_9"}]})
     with pytest.raises(ConfigError):
         run_suite({"cases": [{"id": "a", "theorem": "Lemma2_1"}, {"id": "a", "theorem": "Lemma2_1"}]})
+
+
+def test_numerical_error_stays_inside_its_case():
+    # the bundled cor3_1_n1 case on the window [0, 1]: its central Morrey
+    # source norm is still climbing at the right edge (NormDivergentError)
+    cfg = default_config()
+    cases = {c["id"]: c for c in cfg["cases"]}
+    cfg["cases"] = [dict(cases["cor3_1_n1"], window=[0, 1]), cases["lemma_2_1"]]
+    report = run_suite(cfg)
+    errors = [r for r in report.rows if r.verdict == ERROR]
+    assert [(r.case_id, r.quantity) for r in errors] == [("cor3_1_n1", "error")]
+    assert errors[0].detail.startswith("NormDivergentError: ")
+    later = report.rows[1:]
+    assert len(later) == 15 and all(r.verdict == "PASS" for r in later)
+    assert report.failed and report.exit_code() == 1
 
 
 def test_default_config_loads():

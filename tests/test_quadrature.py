@@ -8,9 +8,7 @@ from rough_hausdorff.quadrature import (
     Annulus,
     Ball,
     DivergentIntegralError,
-    RadialIntegrand,
     Shell,
-    integrate_halfline,
     _panel,
     _panels_breadth_first,
     integrate_interval,
@@ -23,29 +21,26 @@ from rough_hausdorff.quadrature import (
 
 def test_halfline_truncated_power():
     # antiderivative oracle: -(2/3) t^{-3/2} evaluated at 1
-    f = RadialIntegrand(lambda t: np.where(t > 1.0, t ** -2.5, 0.0), math.inf, -2.5)
-    res = integrate_halfline(f, 1e-10)
+    res = integrate_interval(lambda t: np.where(t > 1.0, t ** -2.5, 0.0), 0.0, math.inf, 1e-10, math.inf, -2.5)
     assert res.value == pytest.approx(2.0 / 3.0, abs=1e-10)
     assert res.converged
     assert res.abs_error_estimate + res.tail_bound <= 1e-10 + 1e-12 * res.value
 
 
 def test_halfline_exponential():
-    f = RadialIntegrand(lambda t: np.exp(-t), 0.0, -math.inf)
-    assert integrate_halfline(f, 1e-10).value == pytest.approx(1.0, abs=1e-10)
+    res = integrate_interval(lambda t: np.exp(-t), 0.0, math.inf, 1e-10, 0.0, -math.inf)
+    assert res.value == pytest.approx(1.0, abs=1e-10)
 
 
 def test_halfline_harmonic_divergence_declared():
-    f = RadialIntegrand(lambda t: np.where(t < 1.0, 1.0 / t, 0.0), -1.0, -math.inf)
     with pytest.raises(DivergentIntegralError):
-        integrate_halfline(f, 1e-9)
+        integrate_interval(lambda t: np.where(t < 1.0, 1.0 / t, 0.0), 0.0, math.inf, 1e-9, -1.0, -math.inf)
 
 
 def test_halfline_divergence_detected_without_declaration():
     # declared exponents lie: claim fast decay but the integrand is 1/t
-    f = RadialIntegrand(lambda t: 1.0 / t, 0.5, -1.5)
     with pytest.raises((DivergentIntegralError, ArithmeticError)):
-        integrate_halfline(f, 1e-9)
+        integrate_interval(lambda t: 1.0 / t, 0.0, math.inf, 1e-9, 0.5, -1.5)
 
 
 @pytest.mark.parametrize("expo,lo,expected", [
@@ -55,8 +50,7 @@ def test_halfline_divergence_detected_without_declaration():
 ])
 def test_tail_bound_sound_on_power_laws(expo, lo, expected):
     # the reported tail bound must dominate the true truncated mass
-    f = RadialIntegrand(lambda t: np.where(t > lo, t ** expo, 0.0), math.inf, expo)
-    res = integrate_halfline(f, 1e-8)
+    res = integrate_interval(lambda t: np.where(t > lo, t ** expo, 0.0), 0.0, math.inf, 1e-8, math.inf, expo)
     assert res.value == pytest.approx(expected, rel=1e-8)
     true_truncation = abs(expected - res.value)
     assert res.tail_bound + res.abs_error_estimate >= true_truncation
@@ -117,7 +111,7 @@ def test_power_pair_halfline_matches_antiderivative(e0, einf):
         return out
 
     expected = 1.0 / (e0 + 1.0) - 1.0 / (einf + 1.0)
-    res = integrate_halfline(RadialIntegrand(ev, e0, einf), 1e-9)
+    res = integrate_interval(ev, 0.0, math.inf, 1e-9, e0, einf)
     assert res.value == pytest.approx(expected, rel=1e-7)
 
 

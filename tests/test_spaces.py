@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rough_hausdorff import spaces
 from rough_hausdorff.functions import TestFunction, indicator_shell, power_function, separable
 from rough_hausdorff.quadrature import Annulus, Ball
 from rough_hausdorff.spaces import (
@@ -240,3 +241,21 @@ def test_general_path_cuts_panels_at_support_edges(n, norm):
     a, b, e = 0.501, 1.9995, 0.5
     twin = norm(separable(n, lambda r: np.asarray(r, dtype=float) ** e, support=(a, b)))
     assert norm(_general_shell(n, e, a, b)) == pytest.approx(twin, rel=1e-9)
+
+
+def test_general_path_skips_shells_outside_the_support(monkeypatch):
+    # only the annulus k = 1 meets the support (1, 2] of the 49 in the window
+    calls = []
+    region = spaces.integrate_region
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return region(*args, **kwargs)
+
+    monkeypatch.setattr(spaces, "integrate_region", counted)
+    w = Weight.power(0.3, 1)
+    res = herz_norm(_general_shell(1, 0.5, 1.0, 2.0), 0.2, 2.0, 1.5, w, window=(-24, 24))
+    assert len(calls) <= 1
+    twin = herz_norm(separable(1, lambda r: np.asarray(r, dtype=float) ** 0.5, support=(1.0, 2.0)),
+                     0.2, 2.0, 1.5, w, window=(-24, 24))
+    assert res.value == pytest.approx(twin.value, rel=1e-9)
