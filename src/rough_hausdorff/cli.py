@@ -21,6 +21,8 @@ from . import exprs
 from .functions import KERNEL_PARAMETERS, AngularProfile, RadialKernel, lipschitz_presets, separable
 from .harness import (
     ConfigError,
+    ReportRow,
+    VerificationReport,
     _build_kernel,
     _build_omega,
     _build_weight,
@@ -219,13 +221,9 @@ def _run(args) -> int:
         for r in rows:
             print("  ".join(str(r[k])[:w].ljust(w) for k, w in zip(header, widths)))
         if args.csv:
-            import csv as _csv
-
-            with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-                writer = _csv.writer(fh)
-                writer.writerow(header)
-                for r in rows:
-                    writer.writerow([r[k] for k in header])
+            report = VerificationReport([ReportRow(**r) for r in rows], body["metadata"])
+            with open(args.csv, "w", encoding="utf-8") as fh:
+                fh.write(report.to_csv())
         return 0
 
     raise AssertionError

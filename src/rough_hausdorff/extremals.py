@@ -31,20 +31,24 @@ def conjugate(r: float) -> float:
     return r / (r - 1.0)
 
 
-def _extremal_angular(omega: AngularProfile, rprime: float) -> Callable:
-    """|Omega|^{r'-2} Omega as a batched callable."""
+def matched_angular(omega: AngularProfile, rprime: float) -> Callable:
+    """|Omega|^{r'-2} Omega as a batched callable, 0 where Omega vanishes."""
     expo = rprime - 2.0
-    if expo < 0.0 and not omega.nonvanishing:
-        raise ValueError("extremal angular part needs a nonvanishing symbol for r' < 2")
 
     def h(points):
         v = omega(points)
         av = np.abs(v)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(av > 0, av ** expo * v, 0.0)
-        return out
+            return np.where(av > 0, av ** expo * v, 0.0)
 
     return h
+
+
+def _extremal_angular(omega: AngularProfile, rprime: float) -> Callable:
+    """matched_angular, for a symbol that cannot vanish when r' < 2."""
+    if rprime < 2.0 and not omega.nonvanishing:
+        raise ValueError("extremal angular part needs a nonvanishing symbol for r' < 2")
+    return matched_angular(omega, rprime)
 
 
 @dataclass(frozen=True)

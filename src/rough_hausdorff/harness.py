@@ -2,6 +2,9 @@
 extremal ratios, the annulus-mass identities, the Lipschitz pointwise
 inequality, negative controls, and report generation.
 
+Every per-theorem fact is one frozen ``TheoremSpec`` entry of
+``THEOREM_TABLE``; adding a theorem means adding one entry.
+
 Upper-bound checks compare corpus ratios ||T f||_target / ||f||_source
 against K * C * ||Omega|| * (||b||), where C is the governing constant and
 K is the tracked slack: the explicit product of factors the proof chain
@@ -36,14 +39,15 @@ import json
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import bounds as bmod
 from . import exprs
-from .extremals import conjugate, herz_extremal, morrey_extremal, morrey_herz_extremal
+from .extremals import conjugate, herz_extremal, matched_angular, morrey_extremal, morrey_herz_extremal
 from .functions import (
     AngularProfile,
     LipschitzSymbol,
@@ -55,23 +59,13 @@ from .functions import (
     omega_norm,
     separable,
 )
-from .operators import CommutatorOperator, HausdorffOperator
-from .spaces import (
-    central_morrey_norm,
-    herz_norm,
-    morrey_herz_norm,
-    two_weight_herz_norm,
-    two_weight_morrey_herz_norm,
-    two_weight_morrey_norm,
-)
+from .operators import CommutatorOperator, HausdorffOperator, lipschitz_gap
+from .spaces import SpaceSpec
 from .weights import Weight, annulus_mass, ball_mass
 
-THEOREMS = (
-    "T3_1", "T3_2", "T3_3", "T3_4", "T3_5", "T3_6",
-    "Cor3_1", "Cor3_2", "Cor3_3", "Lemma2_1", "Ineq3_8",
-)
-
 PASS, FAIL, SKIPPED, DIVERGENT, ERROR = "PASS", "FAIL", "SKIPPED", "DIVERGENT-AS-PREDICTED", "ERROR"
+
+CASE_WINDOW = (-16, 20)  # dyadic window of a case when neither it nor the config sets one
 
 
 class ConfigError(ValueError):
@@ -89,15 +83,7 @@ class ReportRow:
     detail: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "case_id": self.case_id,
-            "quantity": self.quantity,
-            "value": self.value,
-            "bound": self.bound,
-            "margin": self.margin,
-            "verdict": self.verdict,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -112,7 +98,7 @@ class TheoremCase:
     symbol: Optional[LipschitzSymbol] = None
     corpus: list = field(default_factory=list)
     extremal_ms: list = field(default_factory=list)
-    window: tuple[int, int] = (-16, 20)
+    window: tuple[int, int] = CASE_WINDOW
     expect: str = "pass"
 
 
@@ -153,106 +139,6 @@ def _fmt(x) -> str:
 
 
 # ---------------------------------------------------------------------------
-# tracked slack constants
-# ---------------------------------------------------------------------------
-
-def tracked_slack(theorem: str, params: dict, w1: Weight, w2: Optional[Weight] = None) -> float:
-    """The explicit proof-chain constant K for the upper bound of ``theorem``."""
-    n = w1.dim
-    gamma = w1.gamma
-
-    def c_of(w: Weight) -> float:
-        if w.angular_lower_bound is None:
-            raise ConfigError("upper checks need weights with a declared angular lower bound")
-        return w.angular_lower_bound
-
-    if theorem in ("T3_1", "Cor3_1"):
-        p = params["p"]
-        return (w1.sphere_mass / c_of(w1)) ** (1.0 / p)
-    if theorem in ("T3_2", "Cor3_2"):
-        q, alpha = params["q"], params["alpha"]
-        return (w1.sphere_mass / c_of(w1)) ** (1.0 / q) * (1.0 + 2.0 ** abs(alpha))
-    if theorem in ("T3_3", "Cor3_3"):
-        q, alpha, lam = params["q"], params["alpha"], params["lambda"]
-        return (w1.sphere_mass / c_of(w1)) ** (1.0 / q) * (1.0 + 2.0 ** abs(lam - alpha))
-    if theorem == "T3_4":
-        p, beta = params["p"], params["beta"]
-        return ((n + gamma) / w2.sphere_mass) ** (beta / (n + gamma)) * (
-            w1.sphere_mass / c_of(w1)
-        ) ** (1.0 / p)
-    if theorem == "T3_5":
-        q, beta, alpha1 = params["q"], params["beta"], params["alpha1"]
-        s = (n + gamma) * alpha1 / n
-        return (
-            (w2.sphere_mass / c_of(w2)) ** (1.0 / q)
-            * ((n + gamma) / w1.sphere_mass) ** (beta / (n + gamma))
-            * (1.0 + 2.0 ** abs(s))
-        )
-    if theorem == "T3_6":
-        q, beta, alpha1, lam, p = params["q"], params["beta"], params["alpha1"], params["lambda"], params["p"]
-        s = (n + gamma) * (lam - alpha1) / n
-        k = (
-            (w2.sphere_mass / c_of(w2)) ** (1.0 / q)
-            * ((n + gamma) / w1.sphere_mass) ** (beta / (n + gamma))
-            * (1.0 + 2.0 ** abs(s))
-        )
-        if p < 1.0:
-            k *= (1.0 - 2.0 ** (-(n + gamma) * lam * p / n)) ** (-1.0 / p)
-        return k
-    raise ConfigError(f"no tracked slack for theorem {theorem}")
-
-
-# ---------------------------------------------------------------------------
-# hypothesis validation
-# ---------------------------------------------------------------------------
-
-def validate_case(case: TheoremCase) -> Optional[str]:
-    """None when the theorem's hypotheses hold, else the violation reason."""
-    p = case.params
-    n = p.get("n", case.w1.dim if case.w1 else 1)
-    gamma = case.w1.gamma if case.w1 else 0.0
-    th = case.theorem
-    if th in ("T3_1", "Cor3_1"):
-        if gamma <= -n:
-            return f"gamma={gamma} <= -n"
-        if not (1.0 <= p["p"] < math.inf):
-            return "requires 1 <= p < inf"
-        if 1.0 + p["lambda"] * p["p"] <= 0.0:
-            return f"1 + lambda p = {1 + p['lambda'] * p['p']:.3g} <= 0"
-    elif th in ("T3_2", "Cor3_2"):
-        if not (1.0 <= p["p"] < math.inf and 1.0 <= p["q"] < math.inf):
-            return "requires 1 <= p, q < inf"
-        if gamma <= -n:
-            return f"gamma={gamma} <= -n"
-    elif th in ("T3_3", "Cor3_3"):
-        if not (1.0 <= p["q"] < math.inf and 0.0 < p["p"] < math.inf):
-            return "requires 1 <= q and 0 < p"
-        if p["lambda"] <= 0.0:
-            return "requires lambda > 0"
-    elif th == "T3_4":
-        if not (1.0 <= p["p"] < math.inf):
-            return "requires 1 <= p"
-        if not (0.0 < p["beta"] <= 1.0):
-            return "requires 0 < beta <= 1"
-        lam1 = p["lambda"] - p["beta"] * p["p"] / (n + gamma)
-        if lam1 <= 0.0:
-            return f"lambda1 = {lam1:.3g} <= 0"
-    elif th in ("T3_5", "T3_6"):
-        if not (1.0 <= p["q"] < math.inf):
-            return "requires 1 <= q"
-        if th == "T3_5" and not (1.0 <= p["p"] < math.inf):
-            return "requires 1 <= p"
-        if not (0.0 < p["beta"] <= 1.0):
-            return "requires 0 < beta <= 1"
-        expected = p["alpha2"] + n * p["beta"] / (n + gamma)
-        if abs(expected - p["alpha1"]) > 1e-12:
-            return "alpha1 != alpha2 + n beta/(n+gamma)"
-        if th == "T3_6" and p["lambda"] < 0.0:
-            return "requires lambda >= 0"
-    return None
-
-
-# ---------------------------------------------------------------------------
 # default corpus
 # ---------------------------------------------------------------------------
 
@@ -284,15 +170,7 @@ def default_corpus(n: int, omega: AngularProfile, rprime: float, size: int = 20)
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return 2.0 + pts[:, 0]
 
-    expo = rprime - 2.0
-
-    def ang_matched(points):
-        v = omega(points)
-        av = np.abs(v)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(av > 0, av ** expo * v, 0.0)
-
-    angulars = [(None, "ang1"), (ang_tilt, "ang2+x1"), (ang_matched, "angmatch")]
+    angulars = [(None, "ang1"), (ang_tilt, "ang2+x1"), (matched_angular(omega, rprime), "angmatch")]
     corpus = []
     for rad in radials:
         for ang, aname in angulars:
@@ -307,76 +185,6 @@ def default_corpus(n: int, omega: AngularProfile, rprime: float, size: int = 20)
                 )
             )
     return corpus[:size]
-
-
-# ---------------------------------------------------------------------------
-# norm dispatch per theorem
-# ---------------------------------------------------------------------------
-
-def _norms_for(case: TheoremCase):
-    """(source_norm, target_norm) evaluators f -> NormResult."""
-    p = case.params
-    w1, w2 = case.w1, case.w2
-    win = case.window
-
-    def cm(lam):
-        return lambda f, strict=True: central_morrey_norm(f, p["p"], lam, w1, win, strict=strict)
-
-    th = case.theorem
-    if th in ("T3_1", "Cor3_1"):
-        ev = cm(p["lambda"])
-        return ev, ev
-    if th in ("T3_2", "Cor3_2"):
-        ev = lambda f, strict=True: herz_norm(f, p["alpha"], p["p"], p["q"], w1, win, strict=strict)
-        return ev, ev
-    if th in ("T3_3", "Cor3_3"):
-        ev = lambda f, strict=True: morrey_herz_norm(f, p["alpha"], p["lambda"], p["p"], p["q"], w1, win, strict=strict)
-        return ev, ev
-    if th == "T3_4":
-        lam1 = p["lambda"] - p["beta"] * p["p"] / (w1.dim + w1.gamma)
-        src = lambda f, strict=True: two_weight_morrey_norm(f, p["p"], lam1, w1, w2, win, strict=strict)
-        tgt = lambda f, strict=True: two_weight_morrey_norm(f, p["p"], p["lambda"], w1, w2, win, strict=strict)
-        return src, tgt
-    if th == "T3_5":
-        src = lambda f, strict=True: two_weight_herz_norm(f, p["alpha1"], p["p"], p["q"], w1, w2, win, strict=strict)
-        tgt = lambda f, strict=True: two_weight_herz_norm(f, p["alpha2"], p["p"], p["q"], w1, w2, win, strict=strict)
-        return src, tgt
-    if th == "T3_6":
-        src = lambda f, strict=True: two_weight_morrey_herz_norm(f, p["alpha1"], p["lambda"], p["p"], p["q"], w1, w2, win, strict=strict)
-        tgt = lambda f, strict=True: two_weight_morrey_herz_norm(f, p["alpha2"], p["lambda"], p["p"], p["q"], w1, w2, win, strict=strict)
-        return src, tgt
-    raise ConfigError(f"no norms for theorem {th}")
-
-
-def _constant_for(case: TheoremCase) -> bmod.BoundConstant:
-    p = case.params
-    n = case.w1.dim
-    gamma = case.w1.gamma
-    th = case.theorem
-    phi = case.kernel
-    if th in ("T3_1", "Cor3_1"):
-        return bmod.c1(phi, n, gamma, p["lambda"])
-    if th in ("T3_2", "Cor3_2"):
-        # the upper-bound chain needs the proof's alpha variant
-        return bmod.c2(phi, n, gamma, p["q"], alpha=p["alpha"])
-    if th in ("T3_3", "Cor3_3"):
-        return bmod.c3(phi, n, gamma, p["q"], p["lambda"], p["alpha"])
-    if th == "T3_4":
-        lam1 = p["lambda"] - p["beta"] * p["p"] / (n + gamma)
-        return bmod.c4(phi, n, gamma, p["p"], lam1, p["beta"], lam=p["lambda"])
-    if th == "T3_5":
-        return bmod.c5(phi, n, gamma, p["q"], p["alpha1"], p["beta"], "herz", alpha2=p["alpha2"])
-    if th == "T3_6":
-        return bmod.c5(phi, n, gamma, p["q"], p["alpha1"], p["beta"], "morrey_herz",
-                       lam=p["lambda"], alpha2=p["alpha2"])
-    raise ConfigError(f"no constant for theorem {th}")
-
-
-def _omega_conjugate(case: TheoremCase) -> float:
-    p = case.params
-    if case.theorem in ("T3_1", "Cor3_1", "T3_4"):
-        return conjugate(p["p"])
-    return conjugate(p["q"])
 
 
 # ---------------------------------------------------------------------------
@@ -396,14 +204,13 @@ def check_upper(case: TheoremCase, tol_rel: float = 1e-3) -> list[ReportRow]:
     if not case.corpus:
         return rows
 
-    rprime = _omega_conjugate(case)
-    onorm = omega_norm(case.omega, rprime)
+    onorm = omega_norm(case.omega, _omega_conjugate(case.theorem, case.params))
     K = tracked_slack(case.theorem, case.params, case.w1, case.w2)
     bound = K * constant.value * onorm
     if case.symbol is not None:
         bound *= case.symbol.lip_norm
 
-    src, tgt = _norms_for(case)
+    src, tgt = _spec(case.theorem).norms(case.params, case.w1, case.w2)
     best = 0.0
     best_name = ""
     skipped = 0
@@ -411,11 +218,11 @@ def check_upper(case: TheoremCase, tol_rel: float = 1e-3) -> list[ReportRow]:
     if case.symbol is not None:
         op = CommutatorOperator(op, case.symbol)
     for f in case.corpus:
-        nf = src(f).value
+        nf = src.evaluate(f, case.window).value
         if not (nf > 0.0 and math.isfinite(nf)):
             skipped += 1
             continue
-        nt = tgt(op.image(f)).value
+        nt = tgt.evaluate(op.image(f), case.window).value
         ratio = nt / nf
         if ratio > best:
             best, best_name = ratio, f.name
@@ -427,120 +234,112 @@ def check_upper(case: TheoremCase, tol_rel: float = 1e-3) -> list[ReportRow]:
     return rows
 
 
-def _pushforward_amplitude(case: TheoremCase, f: TestFunction, image_exponent: float,
-                           radii=(0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 25.0)) -> tuple[float, float]:
-    """Measured constant (T f)(x) / |x|^e over two decades, with its spread."""
+def _lower_setup(case: TheoremCase) -> tuple[float, float, float]:
+    """(r', the lower-bound factor, ||Omega||_{r'}) for the extremal routes."""
+    rprime = _omega_conjugate(case.theorem, case.params)
+    return rprime, bmod.lower_bound_factor(case.omega, rprime, case.w1), omega_norm(case.omega, rprime)
+
+
+def _pure_power_lower(case: TheoremCase, tol_rel: float, extremal: Callable,
+                      sharp: bool = False) -> list[ReportRow]:
+    """Lower bound from a scale-invariant extremal f, whose image is the pure power
+    amp |x|^e: amp, measured over two decades of radii, is checked against the signed
+    constant, and the ratio is |amp| ||(|x|^e)|| / ||f||.  ``extremal(case)`` gives
+    (family, ||f||, signed constant, ||(|x|^e)||); ``sharp`` adds the row checking
+    that the ratio attains K * C * ||Omega||."""
+    constant = _constant_for(case)
+    if constant.divergent:
+        return [ReportRow(case.id, "lower", "divergent", "", "", DIVERGENT,
+                          f"{constant.id} divergent: boundedness fails")]
+    rprime, factor, onorm = _lower_setup(case)
+    fam, fam_norm, signed, power_norm = extremal(case)
+    amp_pred = signed.value * onorm ** rprime
     op = HausdorffOperator(case.kernel, case.omega, case.w1.dim)
-    amps = []
-    for r in radii:
-        val = op.radial_apply(f, r, tol=1e-10)
-        amps.append(val / r ** image_exponent)
-    amps = np.asarray(amps)
-    center = float(np.mean(amps))
-    spread = float(np.max(np.abs(amps - center)) / max(abs(center), 1e-300))
-    return center, spread
+    amps = np.asarray([op.radial_apply(fam.function, r, tol=1e-10) / r ** fam.closed_form_image_exponent
+                       for r in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 25.0)])
+    amp = float(np.mean(amps))
+    spread = float(np.max(np.abs(amps - amp)) / max(abs(amp), 1e-300))
+    rows = [ReportRow(case.id, "pushforward_amplitude", amp, amp_pred,
+                      abs(amp - amp_pred) / abs(amp_pred), PASS if spread < 1e-6 and
+                      abs(amp - amp_pred) <= tol_rel * abs(amp_pred) else FAIL,
+                      f"power-law fit spread {spread:.2e}")]
+    ratio = abs(amp) * power_norm / fam_norm
+    lower = constant.value * factor
+    rows.append(ReportRow(case.id, "extremal_ratio", ratio, lower, ratio - lower,
+                          PASS if ratio >= lower * (1.0 - tol_rel) else FAIL,
+                          f"operator-norm lower bound {constant.id} * factor"))
+    if sharp:
+        bound = tracked_slack(case.theorem, case.params, case.w1) * constant.value * onorm
+        rows.append(ReportRow(case.id, "sharp_constant", ratio, bound,
+                              abs(ratio - bound) / bound,
+                              PASS if abs(ratio - bound) <= tol_rel * bound else FAIL,
+                              "two-sided constant K * C1 * ||Omega||_{p'} attained"))
+    return rows
+
+
+def _morrey_power(case: TheoremCase):
+    p, n, gamma, wS = case.params, case.w1.dim, case.w1.gamma, case.w1.sphere_mass
+    fam = morrey_extremal(case.omega, case.w1, p["lambda"], p["p"])
+    power_norm = ((n + gamma) / wS) ** p["lambda"] * (1.0 + p["lambda"] * p["p"]) ** (-1.0 / p["p"])
+    return fam, fam.closed_form_norm, bmod.c1_signed(case.kernel, n, gamma, p["lambda"]), power_norm
+
+
+def _morrey_herz_power(case: TheoremCase):
+    p, n, gamma, wS = case.params, case.w1.dim, case.w1.gamma, case.w1.sphere_mass
+    q, s = p["q"], p["lambda"] - p["alpha"]
+    fam = morrey_herz_extremal(case.omega, case.w1, q, p["alpha"], p["lambda"])
+    power_chunk = (abs((1.0 - 2.0 ** (-q * s)) / (q * s)) if s != 0.0 else math.log(2.0)) ** (1.0 / q) * wS ** (1.0 / q)
+    power_norm = power_chunk * (1.0 - 2.0 ** (-p["lambda"] * p["p"])) ** (-1.0 / p["p"])
+    signed = bmod.c3_signed(case.kernel, n, gamma, q, p["lambda"], p["alpha"])
+    return fam, fam.herz_norm_closed_form(p["p"]), signed, power_norm
+
+
+def _herz_lower(case: TheoremCase, tol_rel: float) -> list[ReportRow]:
+    """The truncated-scale lower-bound functional L(m) and its pointwise chain."""
+    p, n, gamma, wS = case.params, case.w1.dim, case.w1.gamma, case.w1.sphere_mass
+    q = p["q"]
+    rprime, factor, onorm = _lower_setup(case)
+    rows: list[ReportRow] = []
+    ms = case.extremal_ms or [6, 8, 10]
+    ratios = []
+    for m in ms:
+        c2m = bmod.herz_lower_integral(case.kernel, n, gamma, q, m)
+        eps = 2.0 ** (-m)
+        lm = 2.0 ** (-(m - 1) * eps) * wS ** (1.0 / q) * c2m * factor
+        ratios.append(lm)
+        thr = 0.95 * c2m * factor
+        rows.append(ReportRow(case.id, f"lower_ratio_m{m}", lm, thr, lm - thr,
+                              PASS if lm >= thr else FAIL,
+                              "truncated-scale lower-bound functional"))
+    mono = all(ratios[i] <= ratios[i + 1] + 1e-12 for i in range(len(ratios) - 1))
+    rows.append(ReportRow(case.id, "lower_monotone_in_m", float(mono), 1.0,
+                          0.0 if mono else -1.0, PASS if mono else FAIL,
+                          f"ratios {['%.6g' % r for r in ratios]}"))
+    # pointwise chain inequality at sample radii, for the last stage m (and its c2m):
+    # T f_m (x) >= C2(m) ||O||^{q'} |x|^{-A}
+    fam = herz_extremal(case.omega, case.w1, q, p["alpha"], m)
+    op = HausdorffOperator(case.kernel, case.omega, n)
+    A = -fam.closed_form_image_exponent
+    worst = math.inf
+    for r in (2.0 ** m * 0.75, 2.0 ** (m + 1) * 0.75):
+        hv = abs(op.radial_apply(fam.function, r, tol=1e-10))
+        lowerpt = c2m * onorm ** rprime * r ** (-A)
+        worst = min(worst, hv / lowerpt)
+    rows.append(ReportRow(case.id, "pointwise_chain", worst, 1.0, worst - 1.0,
+                          PASS if worst >= 1.0 - 1e-8 else FAIL,
+                          f"min over sampled radii of Tf_m(x) / (C2(m) ||O||^q' |x|^-A), m={m}"))
+    return rows
 
 
 def check_lower(case: TheoremCase, tol_rel: float = 1e-3) -> list[ReportRow]:
     """Lower-bound (necessity) checks via the extremal families."""
     if case.kernel.sign == "mixed":
         return [ReportRow(case.id, "lower", "", "", "", SKIPPED, "kernel lacks constant sign")]
-    th = case.theorem
-    p = case.params
-    n, gamma = case.w1.dim, case.w1.gamma
-    rprime = _omega_conjugate(case)
-    factor = bmod.lower_bound_factor(case.omega, rprime, case.w1)
-    onorm = omega_norm(case.omega, rprime)
-    wS = case.w1.sphere_mass
-    rows: list[ReportRow] = []
-
-    if th in ("T3_1", "Cor3_1"):
-        constant = bmod.c1(case.kernel, n, gamma, p["lambda"])
-        if constant.divergent:
-            return [ReportRow(case.id, "lower", "divergent", "", "", DIVERGENT,
-                              "C1 divergent: boundedness fails (see negative control)")]
-        fam = morrey_extremal(case.omega, case.w1, p["lambda"], p["p"])
-        amp_pred = bmod.c1_signed(case.kernel, n, gamma, p["lambda"]).value * onorm ** rprime
-        amp, spread = _pushforward_amplitude(case, fam.function, fam.closed_form_image_exponent)
-        rows.append(ReportRow(case.id, "pushforward_amplitude", amp, amp_pred,
-                              abs(amp - amp_pred) / abs(amp_pred), PASS if spread < 1e-6 and
-                              abs(amp - amp_pred) <= tol_rel * abs(amp_pred) else FAIL,
-                              f"power-law fit spread {spread:.2e}"))
-        power_norm = ((n + gamma) / wS) ** p["lambda"] * (1.0 + p["lambda"] * p["p"]) ** (-1.0 / p["p"])
-        ratio = abs(amp) * power_norm / fam.closed_form_norm
-        lower = constant.value * factor
-        rows.append(ReportRow(case.id, "extremal_ratio", ratio, lower, ratio - lower,
-                              PASS if ratio >= lower * (1.0 - tol_rel) else FAIL,
-                              "operator-norm lower bound C1 * factor"))
-        if case.theorem == "Cor3_1":
-            sharp = tracked_slack(th, p, case.w1) * constant.value * onorm
-            rows.append(ReportRow(case.id, "sharp_constant", ratio, sharp,
-                                  abs(ratio - sharp) / sharp,
-                                  PASS if abs(ratio - sharp) <= tol_rel * sharp else FAIL,
-                                  "two-sided constant K * C1 * ||Omega||_{p'} attained"))
-        return rows
-
-    if th in ("T3_2", "Cor3_2"):
-        q = p["q"]
-        ms = case.extremal_ms or [6, 8, 10]
-        ratios = []
-        for m in ms:
-            c2m = bmod.herz_lower_integral(case.kernel, n, gamma, q, m)
-            eps = 2.0 ** (-m)
-            lm = 2.0 ** (-(m - 1) * eps) * wS ** (1.0 / q) * c2m * factor
-            ratios.append(lm)
-            thr = 0.95 * c2m * factor
-            rows.append(ReportRow(case.id, f"lower_ratio_m{m}", lm, thr, lm - thr,
-                                  PASS if lm >= thr else FAIL,
-                                  "truncated-scale lower-bound functional"))
-        mono = all(ratios[i] <= ratios[i + 1] + 1e-12 for i in range(len(ratios) - 1))
-        rows.append(ReportRow(case.id, "lower_monotone_in_m", float(mono), 1.0,
-                              0.0 if mono else -1.0, PASS if mono else FAIL,
-                              f"ratios {['%.6g' % r for r in ratios]}"))
-        # pointwise chain inequality at sample radii: T f_m (x) >= C2(m) ||O||^{q'} |x|^{-A}
-        m = ms[-1]
-        fam = herz_extremal(case.omega, case.w1, q, p["alpha"], m)
-        c2m = bmod.herz_lower_integral(case.kernel, n, gamma, q, m)
-        op = HausdorffOperator(case.kernel, case.omega, n)
-        A = -fam.closed_form_image_exponent
-        worst = math.inf
-        for r in (2.0 ** m * 0.75, 2.0 ** (m + 1) * 0.75):
-            hv = abs(op.radial_apply(fam.function, r, tol=1e-10))
-            lowerpt = c2m * onorm ** rprime * r ** (-A)
-            worst = min(worst, hv / lowerpt)
-        rows.append(ReportRow(case.id, "pointwise_chain", worst, 1.0, worst - 1.0,
-                              PASS if worst >= 1.0 - 1e-8 else FAIL,
-                              f"min over sampled radii of Tf_m(x) / (C2(m) ||O||^q' |x|^-A), m={m}"))
-        return rows
-
-    if th in ("T3_3", "Cor3_3"):
-        q = p["q"]
-        constant = bmod.c3(case.kernel, n, gamma, q, p["lambda"], p["alpha"])
-        if constant.divergent:
-            return [ReportRow(case.id, "lower", "divergent", "", "", DIVERGENT,
-                              "C3 divergent")]
-        fam = morrey_herz_extremal(case.omega, case.w1, q, p["alpha"], p["lambda"])
-        amp_pred = bmod.c3_signed(case.kernel, n, gamma, q, p["lambda"], p["alpha"]).value * onorm ** rprime
-        amp, spread = _pushforward_amplitude(case, fam.function, fam.closed_form_image_exponent)
-        rows.append(ReportRow(case.id, "pushforward_amplitude", amp, amp_pred,
-                              abs(amp - amp_pred) / abs(amp_pred), PASS if spread < 1e-6 and
-                              abs(amp - amp_pred) <= tol_rel * abs(amp_pred) else FAIL,
-                              f"power-law fit spread {spread:.2e}"))
-        s = p["lambda"] - p["alpha"]
-        if s != 0.0:
-            power_chunk = abs((1.0 - 2.0 ** (-q * s)) / (q * s)) ** (1.0 / q) * wS ** (1.0 / q)
-        else:
-            power_chunk = math.log(2.0) ** (1.0 / q) * wS ** (1.0 / q)
-        power_norm = power_chunk * (1.0 - 2.0 ** (-p["lambda"] * p["p"])) ** (-1.0 / p["p"])
-        ratio = abs(amp) * power_norm / fam.herz_norm_closed_form(p["p"])
-        lower = constant.value * factor
-        rows.append(ReportRow(case.id, "extremal_ratio", ratio, lower, ratio - lower,
-                              PASS if ratio >= lower * (1.0 - tol_rel) else FAIL,
-                              "operator-norm lower bound C3 * factor"))
-        return rows
-
-    return [ReportRow(case.id, "lower", "", "", "", SKIPPED,
-                      "no necessity direction for commutator theorems")]
+    lower = _spec(case.theorem).lower
+    if lower is None:
+        return [ReportRow(case.id, "lower", "", "", "", SKIPPED,
+                          "no necessity direction for commutator theorems")]
+    return lower(case, tol_rel)
 
 
 def check_lemma_2_1(gammas=(-0.9, -0.5, 0.0, 1.0, 2.5), dims=(1, 2, 3),
@@ -568,22 +367,19 @@ def check_ineq_3_8(b: LipschitzSymbol, sample_count: int = 10000, seed: int = 7,
     on log-uniform samples; FAILs with a witness point on violation."""
     rng = np.random.default_rng(seed)
     n = b.dim
-    worst = 0.0
-    witness = None
-    for _ in range(sample_count):
-        t = 10.0 ** rng.uniform(-3, 3)
-        x = rng.standard_normal(n)
-        x *= 10.0 ** rng.uniform(-2, 2) / max(np.linalg.norm(x), 1e-12)
-        y = rng.standard_normal(n)
-        y /= max(np.linalg.norm(y), 1e-12)
-        r = float(np.linalg.norm(x))
-        bound = b.lip_norm * r ** b.beta * (1.0 + 1.0 / t) ** b.beta
-        actual = abs(float(b(x[None, :])[0]) - float(b((r / t) * y[None, :])[0]))
-        slack = actual / bound if bound > 0 else math.inf
-        if slack > worst:
-            worst = slack
-            witness = (x.tolist(), t, y.tolist())
+    t, x, y = np.empty(sample_count), np.empty((sample_count, n)), np.empty((sample_count, n))
+    for i in range(sample_count):  # draws in per-sample order, so the seed fixes every sample
+        t[i] = 10.0 ** rng.uniform(-3, 3)
+        xi = rng.standard_normal(n)
+        x[i] = xi * (10.0 ** rng.uniform(-2, 2) / max(np.linalg.norm(xi), 1e-12))
+        yi = rng.standard_normal(n)
+        y[i] = yi / max(np.linalg.norm(yi), 1e-12)
+    actual, bound = lipschitz_gap(b, x, t, y)
+    slack = np.divide(actual, bound, out=np.full(sample_count, math.inf), where=bound > 0)
+    i = int(np.argmax(slack))
+    worst = max(float(slack[i]), 0.0)
     ok = worst <= 1.0 + 1e-12
+    witness = (x[i].tolist(), float(t[i]), y[i].tolist())
     return ReportRow(
         case_id, f"pointwise_bound_{b.name}", worst, 1.0, 1.0 - worst,
         PASS if ok else FAIL,
@@ -598,6 +394,7 @@ def check_divergence_control(case: TheoremCase, windows=(8, 16, 24)) -> list[Rep
     n, gamma = case.w1.dim, case.w1.gamma
     e = (n + gamma) * p["lambda"]
     op = HausdorffOperator(case.kernel, case.omega, n)
+    norm = SpaceSpec("CentralMorrey", p=p["p"], lam=p["lambda"], w1=case.w1)
     rows = []
     ratios = []
     for wsize in windows:
@@ -610,8 +407,8 @@ def check_divergence_control(case: TheoremCase, windows=(8, 16, 24)) -> list[Rep
         )
         img = op.image(f)
         win = (-wsize - 4, wsize + 4)
-        nf = central_morrey_norm(f, p["p"], p["lambda"], case.w1, win)
-        nh = central_morrey_norm(img, p["p"], p["lambda"], case.w1, win, strict=False)
+        nf = norm.evaluate(f, win)
+        nh = norm.evaluate(img, win, strict=False)
         ratios.append(nh.value / nf.value)
         rows.append(ReportRow(case.id, f"ratio_window_{wsize}", ratios[-1], "", "", DIVERGENT,
                               "truncated-extremal ratio at dyadic window"))
@@ -620,6 +417,203 @@ def check_divergence_control(case: TheoremCase, windows=(8, 16, 24)) -> list[Rep
                           DIVERGENT if growing else FAIL,
                           f"ratios {['%.4g' % r for r in ratios]} must grow monotonically"))
     return rows
+
+
+# ---------------------------------------------------------------------------
+# the theorem table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class TheoremSpec:
+    """What the harness knows of one theorem."""
+
+    hypotheses: Callable  # (params, n, gamma) -> None, or the violated hypothesis
+    constant: Callable  # (kernel, n, gamma, params) -> the governing BoundConstant C
+    slack: Callable  # (params, w1, w2) -> the tracked proof-chain factor K
+    norms: Callable  # (params, w1, w2) -> the (source, target) SpaceSpec pair
+    omega_exponent: str  # the parameter r whose conjugate r' measures Omega
+    lower: Optional[Callable] = None  # (case, tol_rel) -> rows; None: no necessity direction
+    control: Optional[Callable] = None  # case -> rows checking that ratios grow when C diverges
+
+
+def _lambda1(p: dict, n: float, gamma: float) -> float:
+    """The commutator's source Morrey index lambda - beta p / (n + gamma)."""
+    return p["lambda"] - p["beta"] * p["p"] / (n + gamma)
+
+
+def _pair(source: SpaceSpec, **target) -> tuple[SpaceSpec, SpaceSpec]:
+    """(source, source with the ``target`` fields changed)."""
+    return source, replace(source, **target)
+
+
+def _sphere_slack(w: Weight, r: float) -> float:
+    """(w(S^{n-1}) / c)^{1/r}, c the weight's declared angular lower bound."""
+    if w.angular_lower_bound is None:
+        raise ConfigError("upper checks need weights with a declared angular lower bound")
+    return (w.sphere_mass / w.angular_lower_bound) ** (1.0 / r)
+
+
+def _ball_slack(p: dict, w1: Weight, w: Weight) -> float:
+    """((n+gamma) / w(S^{n-1}))^{beta/(n+gamma)}, n and gamma those of w1."""
+    ng = w1.dim + w1.gamma
+    return (ng / w.sphere_mass) ** (p["beta"] / ng)
+
+
+def _commutator_slack(p: dict, w1: Weight, w2: Weight, index: float, lam: Optional[float] = None) -> float:
+    """The two-weight Herz-type commutators: w2's sphere slack, the ball-size
+    substitution, the shift factor at the transported index (n+gamma) index / n,
+    and for a Morrey-Herz index lam with p < 1 the p-sum factor."""
+    n, ng = w1.dim, w1.dim + w1.gamma
+    k = _sphere_slack(w2, p["q"]) * _ball_slack(p, w1, w1) * (1.0 + 2.0 ** abs(ng * index / n))
+    if lam is not None and p["p"] < 1.0:
+        k *= (1.0 - 2.0 ** (-ng * lam * p["p"] / n)) ** (-1.0 / p["p"])
+    return k
+
+
+def _morrey_hypotheses(p: dict, n: float, gamma: float) -> Optional[str]:
+    if gamma <= -n:
+        return f"gamma={gamma} <= -n"
+    if not (1.0 <= p["p"] < math.inf):
+        return "requires 1 <= p < inf"
+    if 1.0 + p["lambda"] * p["p"] <= 0.0:
+        return f"1 + lambda p = {1 + p['lambda'] * p['p']:.3g} <= 0"
+    return None
+
+
+def _herz_hypotheses(p: dict, n: float, gamma: float) -> Optional[str]:
+    if not (1.0 <= p["p"] < math.inf and 1.0 <= p["q"] < math.inf):
+        return "requires 1 <= p, q < inf"
+    if gamma <= -n:
+        return f"gamma={gamma} <= -n"
+    return None
+
+
+def _morrey_herz_hypotheses(p: dict, n: float, gamma: float) -> Optional[str]:
+    if not (1.0 <= p["q"] < math.inf and 0.0 < p["p"] < math.inf):
+        return "requires 1 <= q and 0 < p"
+    if p["lambda"] <= 0.0:
+        return "requires lambda > 0"
+    return None
+
+
+def _commutator_morrey_hypotheses(p: dict, n: float, gamma: float) -> Optional[str]:
+    if not (1.0 <= p["p"] < math.inf):
+        return "requires 1 <= p"
+    if not (0.0 < p["beta"] <= 1.0):
+        return "requires 0 < beta <= 1"
+    lam1 = _lambda1(p, n, gamma)
+    if lam1 <= 0.0:
+        return f"lambda1 = {lam1:.3g} <= 0"
+    return None
+
+
+def _commutator_herz_hypotheses(p: dict, n: float, gamma: float, morrey_herz: bool) -> Optional[str]:
+    if not (1.0 <= p["q"] < math.inf):
+        return "requires 1 <= q"
+    if not morrey_herz and not (1.0 <= p["p"] < math.inf):
+        return "requires 1 <= p"
+    if not (0.0 < p["beta"] <= 1.0):
+        return "requires 0 < beta <= 1"
+    expected = p["alpha2"] + n * p["beta"] / (n + gamma)
+    if abs(expected - p["alpha1"]) > 1e-12:
+        return "alpha1 != alpha2 + n beta/(n+gamma)"
+    if morrey_herz and p["lambda"] < 0.0:
+        return "requires lambda >= 0"
+    return None
+
+
+_MORREY = TheoremSpec(
+    hypotheses=_morrey_hypotheses,
+    constant=lambda phi, n, gamma, p: bmod.c1(phi, n, gamma, p["lambda"]),
+    slack=lambda p, w1, w2: _sphere_slack(w1, p["p"]),
+    norms=lambda p, w1, w2: _pair(SpaceSpec("CentralMorrey", p=p["p"], lam=p["lambda"], w1=w1)),
+    omega_exponent="p",
+    lower=partial(_pure_power_lower, extremal=_morrey_power),
+    control=check_divergence_control,
+)
+_HERZ = TheoremSpec(
+    hypotheses=_herz_hypotheses,
+    # the upper-bound chain needs the proof's alpha variant
+    constant=lambda phi, n, gamma, p: bmod.c2(phi, n, gamma, p["q"], alpha=p["alpha"]),
+    slack=lambda p, w1, w2: _sphere_slack(w1, p["q"]) * (1.0 + 2.0 ** abs(p["alpha"])),
+    norms=lambda p, w1, w2: _pair(SpaceSpec("Herz", alpha=p["alpha"], p=p["p"], q=p["q"], w1=w1)),
+    omega_exponent="q",
+    lower=_herz_lower,
+)
+_MORREY_HERZ = TheoremSpec(
+    hypotheses=_morrey_herz_hypotheses,
+    constant=lambda phi, n, gamma, p: bmod.c3(phi, n, gamma, p["q"], p["lambda"], p["alpha"]),
+    slack=lambda p, w1, w2: _sphere_slack(w1, p["q"]) * (1.0 + 2.0 ** abs(p["lambda"] - p["alpha"])),
+    norms=lambda p, w1, w2: _pair(SpaceSpec("MorreyHerz", alpha=p["alpha"], lam=p["lambda"], p=p["p"],
+                                            q=p["q"], w1=w1)),
+    omega_exponent="q",
+    lower=partial(_pure_power_lower, extremal=_morrey_herz_power),
+)
+
+THEOREM_TABLE = {
+    "T3_1": _MORREY,
+    "T3_2": _HERZ,
+    "T3_3": _MORREY_HERZ,
+    "T3_4": TheoremSpec(
+        hypotheses=_commutator_morrey_hypotheses,
+        constant=lambda phi, n, gamma, p: bmod.c4(phi, n, gamma, p["p"], _lambda1(p, n, gamma), p["beta"],
+                                                  lam=p["lambda"]),
+        slack=lambda p, w1, w2: _ball_slack(p, w1, w2) * _sphere_slack(w1, p["p"]),
+        norms=lambda p, w1, w2: _pair(SpaceSpec("TwoWeightMorrey", p=p["p"], lam=_lambda1(p, w1.dim, w1.gamma),
+                                                w1=w1, w2=w2), lam=p["lambda"]),
+        omega_exponent="p",
+    ),
+    "T3_5": TheoremSpec(
+        hypotheses=partial(_commutator_herz_hypotheses, morrey_herz=False),
+        constant=lambda phi, n, gamma, p: bmod.c5(phi, n, gamma, p["q"], p["alpha1"], p["beta"], "herz",
+                                                  alpha2=p["alpha2"]),
+        slack=lambda p, w1, w2: _commutator_slack(p, w1, w2, p["alpha1"]),
+        norms=lambda p, w1, w2: _pair(SpaceSpec("TwoWeightHerz", alpha=p["alpha1"], p=p["p"], q=p["q"],
+                                                w1=w1, w2=w2), alpha=p["alpha2"]),
+        omega_exponent="q",
+    ),
+    "T3_6": TheoremSpec(
+        hypotheses=partial(_commutator_herz_hypotheses, morrey_herz=True),
+        constant=lambda phi, n, gamma, p: bmod.c5(phi, n, gamma, p["q"], p["alpha1"], p["beta"], "morrey_herz",
+                                                  lam=p["lambda"], alpha2=p["alpha2"]),
+        slack=lambda p, w1, w2: _commutator_slack(p, w1, w2, p["lambda"] - p["alpha1"], p["lambda"]),
+        norms=lambda p, w1, w2: _pair(SpaceSpec("TwoWeightMorreyHerz", alpha=p["alpha1"], lam=p["lambda"],
+                                                p=p["p"], q=p["q"], w1=w1, w2=w2), alpha=p["alpha2"]),
+        omega_exponent="q",
+    ),
+    "Cor3_1": replace(_MORREY, lower=partial(_pure_power_lower, extremal=_morrey_power, sharp=True)),
+    "Cor3_2": _HERZ,
+    "Cor3_3": _MORREY_HERZ,
+}
+
+THEOREMS = (*THEOREM_TABLE, "Lemma2_1", "Ineq3_8")
+
+
+def _spec(theorem: str) -> TheoremSpec:
+    if theorem not in THEOREM_TABLE:
+        raise ConfigError(f"theorem {theorem} has no entry in the theorem table")
+    return THEOREM_TABLE[theorem]
+
+
+def tracked_slack(theorem: str, params: dict, w1: Weight, w2: Optional[Weight] = None) -> float:
+    """The explicit proof-chain constant K for the upper bound of ``theorem``."""
+    return _spec(theorem).slack(params, w1, w2)
+
+
+def validate_case(case: TheoremCase) -> Optional[str]:
+    """None when the theorem's hypotheses hold, else the violation reason."""
+    spec = THEOREM_TABLE.get(case.theorem)
+    n = case.params.get("n", case.w1.dim if case.w1 else 1)
+    gamma = case.w1.gamma if case.w1 else 0.0
+    return spec.hypotheses(case.params, n, gamma) if spec else None
+
+
+def _constant_for(case: TheoremCase) -> bmod.BoundConstant:
+    return _spec(case.theorem).constant(case.kernel, case.w1.dim, case.w1.gamma, case.params)
+
+
+def _omega_conjugate(theorem: str, params: dict) -> float:
+    return conjugate(params[_spec(theorem).omega_exponent])
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +688,7 @@ def default_config() -> dict:
         return json.load(fh)
 
 
-def _case_from_config(entry: dict, registries: dict, tolerances: dict) -> TheoremCase:
+def _case_from_config(entry: dict, registries: dict, window: tuple[int, int]) -> TheoremCase:
     try:
         theorem = entry["theorem"]
         if theorem not in THEOREMS:
@@ -713,7 +707,7 @@ def _case_from_config(entry: dict, registries: dict, tolerances: dict) -> Theore
             params.setdefault("beta", symbol.beta)
         corpus: list[TestFunction] = []
         if entry.get("corpus") == "default" and omega is not None and w1 is not None:
-            rprime = conjugate(params.get("q", params.get("p", 2.0)))
+            rprime = _omega_conjugate(theorem, params)
             corpus = default_corpus(w1.dim, omega, rprime, int(entry.get("corpus_size", 20)))
         return TheoremCase(
             id=entry["id"],
@@ -726,7 +720,7 @@ def _case_from_config(entry: dict, registries: dict, tolerances: dict) -> Theore
             symbol=symbol,
             corpus=corpus,
             extremal_ms=list(entry.get("extremal_ms", [])),
-            window=tuple(entry.get("window", tolerances.get("dyadic_window", (-16, 20)))),
+            window=tuple(entry.get("window", window)),
             expect=entry.get("expect", "pass"),
         )
     except KeyError as exc:
@@ -760,8 +754,9 @@ def run_case(case: TheoremCase, tol_rel: float) -> list[ReportRow]:
         rows = [ReportRow(case.id, constant.id, "divergent" if constant.divergent else constant.value,
                           "", "", DIVERGENT if constant.divergent else FAIL,
                           "expected divergent governing constant")]
-        if constant.divergent and case.theorem in ("T3_1", "Cor3_1"):
-            rows.extend(check_divergence_control(case))
+        control = _spec(case.theorem).control
+        if constant.divergent and control is not None:
+            rows.extend(control(case))
         return rows
 
     rows = check_upper(case, tol_rel)
@@ -772,15 +767,14 @@ def run_case(case: TheoremCase, tol_rel: float) -> list[ReportRow]:
 def run_suite(config) -> VerificationReport:
     cfg = load_config(config)
     tolerances = dict(cfg.get("tolerances", {}))
-    if "dyadic_window" in cfg:
-        tolerances.setdefault("dyadic_window", cfg["dyadic_window"])
     tol_rel = float(tolerances.get("ratio_rel", 1e-3))
+    window = tuple(tolerances.get("dyadic_window", CASE_WINDOW))
     registries = {
         "weights": {k: _build_weight(v) for k, v in cfg.get("weights", {}).items()},
         "omegas": {k: _build_omega(v) for k, v in cfg.get("omegas", {}).items()},
         "kernels": {k: _build_kernel(v) for k, v in cfg.get("kernels", {}).items()},
     }
-    cases = [_case_from_config(entry, registries, tolerances) for entry in cfg.get("cases", [])]
+    cases = [_case_from_config(entry, registries, window) for entry in cfg.get("cases", [])]
     ids = [c.id for c in cases]
     if len(set(ids)) != len(ids):
         raise ConfigError("duplicate case ids")
@@ -805,7 +799,7 @@ def run_suite(config) -> VerificationReport:
 
     metadata = {
         "tolerances": tolerances,
-        "dyadic_window": list(tolerances.get("dyadic_window", (-16, 20))),
+        "dyadic_window": list(window),
         "grid": "quarter-dyadic radii 2^(j/4)",
         "cases": ids,
         "runtime_seconds": round(time.time() - t0, 3),

@@ -374,15 +374,20 @@ def _multiply_symbol(f: TestFunction, b: LipschitzSymbol) -> TestFunction:
     return TestFunction(dim=f.dim, general=general, support=f.support, name=f"b*{f.name}")
 
 
+def lipschitz_gap(b: LipschitzSymbol, x, t, yprime) -> tuple[np.ndarray, np.ndarray]:
+    """Row by row, |b(x) - b(|x| y'/t)| and its bound ||b|| |x|^beta (1 + 1/t)^beta
+    (Ineq 3.8), for stacked points x, unit vectors y' and scales t."""
+    x, y = (np.atleast_2d(np.asarray(v, dtype=float)) for v in (x, yprime))
+    r = np.linalg.norm(x, axis=1)
+    bound = b.lip_norm * r ** b.beta * (1.0 + 1.0 / t) ** b.beta
+    return np.abs(b(x) - b((r / t)[:, None] * y)), bound
+
+
 def lipschitz_pointwise_bound(b: LipschitzSymbol, x, t: float, yprime) -> float:
     """||b|| |x|^beta (1 + 1/t)^beta, checked to dominate |b(x) - b(|x| y'/t)|."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(yprime, dtype=float))
-    r = float(np.linalg.norm(x))
-    if r == 0.0 or t <= 0:
+    if float(np.linalg.norm(x)) == 0.0 or t <= 0:
         raise ValueError("requires x != 0 and t > 0")
-    bound = b.lip_norm * r ** b.beta * (1.0 + 1.0 / t) ** b.beta
-    actual = abs(float(b(x[None, :])[0]) - float(b((r / t) * y[None, :])[0]))
+    actual, bound = (float(v[0]) for v in lipschitz_gap(b, x, t, yprime))
     if actual > bound * (1.0 + 1e-12):
         raise AssertionError(
             f"pointwise bound violated: |b(x)-b(|x|y'/t)| = {actual:.6g} > {bound:.6g}; "

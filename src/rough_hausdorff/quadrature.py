@@ -44,7 +44,6 @@ class QuadratureResult:
     value: float
     abs_error_estimate: float
     tail_bound: float
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -318,12 +317,11 @@ def integrate_interval(
         err += e
         tail += side_tail
 
-    converged = err + tail <= max(tol, _REL * abs(value))
-    if not converged:
+    if err + tail > max(tol, _REL * abs(value)):
         raise ToleranceNotMetError(
             f"error estimate {err:.3g} + tail {tail:.3g} exceeds tol {tol:.3g}"
         )
-    return QuadratureResult(value, err, tail, converged)
+    return QuadratureResult(value, err, tail)
 
 
 def integrate_intervals(
@@ -412,7 +410,7 @@ def integrate_sphere(n: int, g: Callable[[np.ndarray], np.ndarray], tol: float) 
     if n == 1:
         pts, w = sphere_nodes(1, 0)
         vals = np.asarray(g(pts), dtype=float)
-        return QuadratureResult(float(np.dot(w, vals)), 0.0, 0.0, True)
+        return QuadratureResult(float(np.dot(w, vals)), 0.0, 0.0)
     if n not in (2, 3):
         raise ValueError("sphere quadrature implemented for n in {1, 2, 3}")
     prev = None
@@ -422,7 +420,7 @@ def integrate_sphere(n: int, g: Callable[[np.ndarray], np.ndarray], tol: float) 
         if prev is not None:
             err = abs(val - prev)
             if err <= tol:
-                return QuadratureResult(val, err, 0.0, True)
+                return QuadratureResult(val, err, 0.0)
         prev = val
     raise ToleranceNotMetError("sphere quadrature did not reach tolerance")
 

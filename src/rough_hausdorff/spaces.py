@@ -514,8 +514,8 @@ def two_weight_morrey_norm(
     strict: bool = True,
 ) -> NormResult:
     """sup_R ( w2(B_R)^{-lam} integral_{B_R} |f|^p w1 )^{1/p}."""
-    if p <= 0:
-        raise ValueError("p must be positive")
+    if p < 1:
+        raise ValueError("two-weight Morrey norm requires p >= 1")
     if lam <= 0:
         raise ValueError("two-weight Morrey requires lambda > 0")
 
@@ -562,8 +562,8 @@ class SpaceSpec:
                 raise ValueError(f"{self.kind} requires {name}")
             if name not in used and val is not None:
                 raise ValueError(f"{self.kind} does not take {name}")
-        if self.kind == "CentralMorrey" and self.p < 1:
-            raise ValueError("CentralMorrey requires p >= 1")
+        if self.kind in ("CentralMorrey", "TwoWeightMorrey") and self.p < 1:
+            raise ValueError(f"{self.kind} requires p >= 1")
         if self.kind in ("Herz", "MorreyHerz", "TwoWeightHerz", "TwoWeightMorreyHerz"):
             if self.p <= 0 or self.q <= 0:
                 raise ValueError("requires 0 < p, q")

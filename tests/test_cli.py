@@ -74,7 +74,7 @@ def test_verify_and_report_roundtrip(tmp_path, capsys):
     rc = main(["report", "--in", str(tmp_path / "out" / "report.json"),
                "--csv", str(tmp_path / "re.csv")])
     assert rc == 0
-    assert (tmp_path / "re.csv").exists()
+    assert (tmp_path / "re.csv").read_bytes() == (tmp_path / "out" / "report.csv").read_bytes()
 
 
 def test_verify_config_error(tmp_path):
@@ -101,6 +101,8 @@ BAD_ARGV = {
     "norm_herz_without_p": ["norm", "--space", "Herz", "--q", "2", "--alpha", "0", "--n", "1",
                             "--radial", "pow(r,-0.1)", "--exponent-at-zero", "-0.1",
                             "--exponent-at-infinity", "-0.1"],
+    "norm_two_weight_morrey_p_below_1": ["norm", "--space", "TwoWeightMorrey", "--p", "0.5", "--lambda", "0.5",
+                                         "--radial", "1", "--support-min", "0.5", "--support-max", "1"],
     "verify_missing_config": ["verify", "--config", "{tmp}/missing.json", "--out-dir", "{tmp}/out"],
 }
 

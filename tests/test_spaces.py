@@ -110,6 +110,15 @@ def test_two_weight_morrey_sup_example():
     assert res.value == pytest.approx(1.0, rel=1e-9)
 
 
+def test_two_weight_morrey_rejects_p_below_1():
+    # as central Morrey does: p < 1 would only give a quasi-norm
+    f = indicator_shell(1, 0.5, 1.0)
+    with pytest.raises(ValueError):
+        two_weight_morrey_norm(f, 0.5, 0.5, W01, W01)
+    with pytest.raises(ValueError):
+        SpaceSpec(kind="TwoWeightMorrey", p=0.5, lam=0.5, w1=W01, w2=W01)
+
+
 def test_two_weight_herz_exponent_bookkeeping():
     # w1(B_k) = 2^{k+1} for gamma=0, n=1: two-weight and one-weight Herz
     # norms of a single-annulus function differ by exactly 2^alpha
