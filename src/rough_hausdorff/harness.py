@@ -519,6 +519,9 @@ def _commutator_herz_hypotheses(p: dict, n: float, gamma: float, morrey_herz: bo
         return "alpha1 != alpha2 + n beta/(n+gamma)"
     if morrey_herz and p["lambda"] < 0.0:
         return "requires lambda >= 0"
+    if morrey_herz and p["p"] < 1.0 and p["lambda"] <= 0.0:
+        # the p-sum factor (1 - 2^{-(n+gamma) lambda p / n})^{-1/p} of the slack needs lambda > 0
+        return "requires lambda > 0 when p < 1"
     return None
 
 

@@ -84,6 +84,7 @@ def _pair(orders: tuple[int, int]) -> tuple[np.ndarray, ...]:
 _REL_FLOOR = 5e-15  # no panel is refined below machine precision x its L1 mass
 _REL = 1e-12  # every interval integral is accepted at max(tol, _REL |value|)
 _MAX_PANELS = 4000  # expansion panels per side before ToleranceNotMetError
+_BLOCK_PANELS = 512  # first-level panels per breadth-first block of integrate_intervals
 
 
 def _judge(glo, ghi, half, tol, depth: int, pair: tuple[np.ndarray, ...]):
@@ -123,18 +124,18 @@ def _panel(g, a: float, b: float, tol: float, depth: int = 0,
     return lv + rv, le + re
 
 
-def _panels_breadth_first(g, a: np.ndarray, b: np.ndarray, tol: np.ndarray,
-                          owner: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_panel`` (G10/G21) on many panels at once, one tree level per integrand call.
+def _panels_breadth_first(g, a: np.ndarray, b: np.ndarray, tol: np.ndarray, owner: np.ndarray,
+                          count: int, orders: tuple[int, int] = (10, 21)) -> tuple[np.ndarray, np.ndarray]:
+    """``_panel`` on many panels at once, one tree level per integrand call.
 
     Panel j spans [a[j], b[j]] with tolerance tol[j] and belongs to integral
     owner[j] < count; ``g(x, owner)`` evaluates each point x under the
     integral named by its owner.  Bisection and acceptance follow ``_panel``
-    exactly, so every integral gets the same panel tree; only the order in
-    which accepted panels are summed differs.  Returns per-integral
-    (values, error estimates).
+    under the same rule pair ``orders`` exactly, so every integral gets the
+    same panel tree; only the order in which accepted panels are summed
+    differs.  Returns per-integral (values, error estimates).
     """
-    pair = _pair((10, 21))
+    pair = _pair(orders)
     nodes = np.concatenate((pair[0], pair[2]))
     nlo = len(pair[0])
     value = np.zeros(count)
@@ -330,16 +331,25 @@ def integrate_intervals(
     b: np.ndarray,
     tol: float,
     align: np.ndarray | None = None,
+    orders: tuple[int, int] = (10, 21),
 ) -> np.ndarray:
     """Integrate over many bounded intervals (a[i], b[i]), 0 < a[i] < b[i] < inf, in one solve.
 
     ``g(x, i)`` evaluates integral i[k] at point x[k].  ``align[i]`` lists
     integral i's extra cut points (non-finite entries are ignored).  Each
     integral is cut and given panel tolerances exactly as
-    ``integrate_interval(g_i, a[i], b[i], tol, align=align[i])`` does, and
-    the panels of all integrals are refined together by
-    ``_panels_breadth_first``, so the values match that call to rounding.
-    Raises ToleranceNotMetError when any integral misses its tolerance.
+    ``integrate_interval(g_i, a[i], b[i], tol, orders=orders, align=align[i])``
+    does, and the panels are refined together by ``_panels_breadth_first``
+    under the rule pair ``orders``, so the values match that call to rounding.
+
+    The integrals are solved in consecutive blocks of whole integrals, each
+    holding at most ``_BLOCK_PANELS`` first-level panels by the count
+    dyadic cuts + align columns + 1 per integral (one integral with more
+    forms a block alone), so the working arrays stay bounded however many
+    integrals one call carries.  A block never splits an integral, and an
+    integral's sum runs in the same order in any block, so every value is
+    bit for bit the one a call holding its block alone gives.  Raises
+    ToleranceNotMetError when any integral misses its tolerance.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -348,12 +358,35 @@ def integrate_intervals(
         return np.zeros(0)
     if not np.all((0.0 < a) & (a < b) & (b < math.inf)):
         raise ValueError("integrate_intervals needs 0 < a < b < inf")
+    extra = np.empty((count, 0)) if align is None else np.asarray(align, dtype=float).reshape(count, -1)
     # dyadic cuts 2^k with floor(log2 a) < k < ceil(log2 b), as in integrate_interval
     klo = np.floor(np.log2(a)) + 1.0
     khi = np.ceil(np.log2(b))
+    ends = np.cumsum(np.maximum(khi - klo, 0.0) + extra.shape[1] + 1.0)  # panel bound, accumulated
+    value = np.empty(count)
+    start = 0
+    while start < count:
+        done = ends[start - 1] if start else 0.0
+        stop = max(start + 1, int(np.searchsorted(ends, done + _BLOCK_PANELS, side="right")))
+        blk = slice(start, stop)
+        lo, hi, panel_tol, owner = _first_panels(a[blk], b[blk], klo[blk], khi[blk], extra[blk], tol)
+        v, e = _panels_breadth_first(lambda x, i, first=start: g(x, i + first), lo, hi, panel_tol, owner,
+                                     stop - start, orders)
+        if np.any(e > np.maximum(tol, _REL * np.abs(v))):
+            raise ToleranceNotMetError("interval tolerance not met")
+        value[blk] = v
+        start = stop
+    return value
+
+
+def _first_panels(a, b, klo, khi, extra, tol: float):
+    """The panels integrals (a[i], b[i]) start from: cut at the powers of two
+    2^k, klo[i] <= k < khi[i], and at the entries of extra[i] inside, with the
+    ``_panel_tol`` of each panel's index.  Returns (lower edges, upper edges,
+    tolerances, owning integral) in integral order."""
+    count = len(a)
     ks = np.arange(klo.min(), max(khi.max(), klo.min()))
     dyadic = np.where((ks >= klo[:, None]) & (ks < khi[:, None]), np.ldexp(1.0, ks.astype(int)), math.inf)
-    extra = np.empty((count, 0)) if align is None else np.asarray(align, dtype=float).reshape(count, -1)
     cuts = np.concatenate((dyadic, extra), axis=1)
     cuts = np.where((cuts > a[:, None]) & (cuts < b[:, None]), cuts, math.inf)
     cuts = np.sort(np.concatenate((a[:, None], cuts, b[:, None]), axis=1), axis=1)
@@ -363,13 +396,9 @@ def integrate_intervals(
     edge = cuts[keep]
     first = np.searchsorted(row, np.arange(count))
     inner = row[1:] == row[:-1]  # consecutive cuts of one integral bound a panel
-    owner = row[:-1][inner]
     j = (np.arange(len(edge) - 1) - first[row[:-1]])[inner].astype(float)
     panel_tol = np.maximum(tol / (7.0 * (1.0 + j * j)), 1e-17)  # _panel_tol, vectorised
-    value, err = _panels_breadth_first(g, edge[:-1][inner], edge[1:][inner], panel_tol, owner, count)
-    if np.any(err > np.maximum(tol, _REL * np.abs(value))):
-        raise ToleranceNotMetError("interval tolerance not met")
-    return value
+    return edge[:-1][inner], edge[1:][inner], panel_tol, row[:-1][inner]
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,12 @@ Conventions shared by every evaluator:
     (dyadic annuli, or the segments between grid radii), computed by one
     helper, ``_shell_integrals``.  It clips each shell to f's support and
     skips the empty ones.  A separable function factors exactly into a
-    radial integral per shell times one sphere integral per norm; any
-    other function gets one region integral per shell.
+    radial integral per shell times one sphere integral per norm, and all
+    its bounded shells with a positive lower edge are one breadth-first
+    ``integrate_intervals`` solve (for an operator image, one profile batch
+    per panel-tree level instead of one per panel); the shells from 0 and
+    out to infinity keep ``integrate_interval`` and its endpoint
+    expansion.  Any other function gets one region integral per shell.
 
 q < 1 is rejected: the shell norms would only be quasi-norms and every
 boundedness statement exercised here assumes q >= 1.
@@ -36,6 +40,7 @@ from .quadrature import (
     Shell,
     _radial_bounds,
     integrate_interval,
+    integrate_intervals,
     integrate_region,
     integrate_sphere,
 )
@@ -97,11 +102,19 @@ def _shell_integrals(f: TestFunction, q: float, w: Weight, edges, tol: float,
 
     Each shell is clipped to f.support and skipped when that leaves it
     empty.  A separable f is a radial integral per shell (under the rule
-    pair ``orders``) times one sphere factor; any other f is a region
-    integral per shell.  Both declare |f|^q w ~ r^{q e + gamma} at 0 and
-    infinity, e being f's radial exponent there.
+    pair ``orders``) times one sphere factor: the bounded shells with a
+    positive lower edge go through one ``integrate_intervals`` solve, the
+    shells from 0 and out to infinity (which need the endpoint expansion)
+    one ``integrate_interval`` each.  Any other f is a region integral per
+    shell.  Both declare |f|^q w ~ r^{q e + gamma} at 0 and infinity, e
+    being f's radial exponent there.
     """
     align = _jump_radii(f)
+    edges = np.asarray(edges, dtype=float)
+    slo, shi = f.support
+    lo, hi = np.maximum(edges[:-1], slo), np.minimum(edges[1:], shi)
+    out = np.zeros(len(lo))
+    single = hi > lo  # the shells left to the per-shell path
     if f.separable:
         sphere = _sphere_factor(f, q, w, tol)
         expo = w.gamma + f.dim - 1
@@ -109,6 +122,13 @@ def _shell_integrals(f: TestFunction, q: float, w: Weight, edges, tol: float,
         def radial(r):
             r = np.asarray(r, dtype=float)
             return np.abs(f.radial_values(r)) ** q * r ** expo
+
+        batch = single & (lo > 0.0) & (hi < math.inf)
+        single &= ~batch
+        if np.any(batch):
+            cuts = np.tile(align, (np.count_nonzero(batch), 1)) if align else None
+            out[batch] = integrate_intervals(lambda r, i: radial(r), lo[batch], hi[batch], tol,
+                                             align=cuts, orders=orders) * sphere
 
         def shell(lo, hi, e0, einf):
             return integrate_interval(radial, lo, hi, tol, exponent_at_zero=e0, exponent_at_infinity=einf,
@@ -128,14 +148,11 @@ def _shell_integrals(f: TestFunction, q: float, w: Weight, edges, tol: float,
             raise ValueError(f"test function {f.name!r} needs a radial exponent at {end} for integrals reaching it")
         return q * e + expo
 
-    slo, shi = f.support
-    out = np.zeros(len(edges) - 1)
-    for i in range(len(out)):
-        lo, hi = max(float(edges[i]), slo), min(float(edges[i + 1]), shi)
-        if hi > lo:
-            out[i] = shell(lo, hi,
-                           declared(f.radial_exponent_at_zero, "0") if lo == 0.0 else None,
-                           declared(f.radial_exponent_at_infinity, "infinity") if math.isinf(hi) else None)
+    for i in np.flatnonzero(single):
+        a, b = float(lo[i]), float(hi[i])
+        out[i] = shell(a, b,
+                       declared(f.radial_exponent_at_zero, "0") if a == 0.0 else None,
+                       declared(f.radial_exponent_at_infinity, "infinity") if math.isinf(b) else None)
     return out
 
 
@@ -452,10 +469,13 @@ def _morrey_sup(
     strict: bool,
     label: str,
 ) -> NormResult:
-    """sup over the R-grid of exp(log_normalizer(R)/p-ish) ... see callers.
+    """sup over the grid radii R = 2^(j/4) in the window of
+    (exp(log_normalizer(R)) * integral_{B_R} |f|^p w_int)^{1/p}.
 
-    log_normalizer(R) returns ln of the mass-normalization factor multiplying
-    the ball integral before the 1/p-th root.
+    log_normalizer(R) is ln of the mass normalization that multiplies the
+    ball integral, such as -(1 + lam p) ln w(B_R) for the central Morrey
+    norm.  A supremand that peaks at a window edge and still climbs over
+    the three grid radii there makes the norm divergent.
     """
     k_min, k_max = window
     js = np.arange(GRID_PER_OCTAVE * k_min, GRID_PER_OCTAVE * k_max + 1)

@@ -232,6 +232,17 @@ def test_numerical_error_stays_inside_its_case():
     assert report.failed and report.exit_code() == 1
 
 
+def test_morrey_herz_commutator_below_p_1_needs_positive_lambda():
+    # at lambda = 0 the T3_6 slack's p-sum factor (1 - 2^0)^(-1/p) has no value
+    cfg = default_config()
+    case = next(c for c in cfg["cases"] if c["id"] == "t3_6_n1")
+    params = {"p": 0.5, "q": 2, "lambda": 0, "alpha2": 0.15, "alpha1": 0.4, "beta": 0.25}
+    cfg["cases"] = [dict(case, params=params)]
+    rows = run_suite(cfg).rows
+    assert [(r.quantity, r.verdict, r.detail) for r in rows] == [
+        ("hypotheses", "SKIPPED", "requires lambda > 0 when p < 1")]
+
+
 def test_default_config_loads():
     cfg = default_config()
     assert len(cfg["cases"]) >= 10

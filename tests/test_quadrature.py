@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from rough_hausdorff.quadrature import (
     Ball,
     DivergentIntegralError,
     Shell,
+    ToleranceNotMetError,
+    _BLOCK_PANELS,
     _panel,
     _panels_breadth_first,
     integrate_interval,
@@ -175,11 +178,12 @@ def test_intervals_match_interval_with_cuts_and_jumps():
     # the second integral's jump sits on its lower edge, the last one's on a dyadic cut
     align = np.array([[1.7, math.inf], [1.0, 1.2], [0.8, -1.0], [1.0, 2.0]])
     cs = align[:, 0]
-    values = integrate_intervals(lambda x, i: _jumpy(cs[i])(x), a, b, 1e-11, align=align)
-    for i in range(4):
-        cuts = tuple(c for c in align[i] if math.isfinite(c))
-        ref = integrate_interval(_jumpy(cs[i]), a[i], b[i], 1e-11, align=cuts).value
-        assert values[i] == pytest.approx(ref, rel=1e-14)
+    for orders in ((10, 21), (6, 13)):
+        values = integrate_intervals(lambda x, i: _jumpy(cs[i])(x), a, b, 1e-11, align=align, orders=orders)
+        for i in range(4):
+            cuts = tuple(c for c in align[i] if math.isfinite(c))
+            ref = integrate_interval(_jumpy(cs[i]), a[i], b[i], 1e-11, orders=orders, align=cuts).value
+            assert values[i] == pytest.approx(ref, rel=1e-14)
 
 
 def test_intervals_reject_unbounded_or_empty():
@@ -201,3 +205,52 @@ def test_intervals_cut_at_powers_of_two_in_one_integrand_call():
     # cuts 1, 2, 4, 8 and 0.75, 1, 1.5: five panels of 31 nodes, accepted at once
     assert seen == [(5 * 31, [0, 1])]
     np.testing.assert_allclose(values, [7.0, 0.75], rtol=1e-14)
+
+
+def test_intervals_in_blocks_match_one_call_per_block():
+    # every integral lies inside the octave (1, 2), so each counts one panel
+    # and the blocks are runs of _BLOCK_PANELS integrals
+    count = 2 * _BLOCK_PANELS + 100
+    a = 1.0 + np.linspace(0.01, 0.3, count)
+    b = a + 0.5
+    cs = a + 0.137 * (b - a)
+    blocks = []
+
+    def g(x, i):
+        blocks.append((i.min(), i.max()))
+        return _jumpy(cs[i])(x)
+
+    values = integrate_intervals(g, a, b, 1e-11)
+    assert {lo // _BLOCK_PANELS for lo, hi in blocks} == {0, 1, 2}
+    assert all(lo // _BLOCK_PANELS == hi // _BLOCK_PANELS for lo, hi in blocks)
+    for start in range(0, count, _BLOCK_PANELS):
+        part = slice(start, start + _BLOCK_PANELS)
+        alone = integrate_intervals(lambda x, i: _jumpy(cs[part][i])(x), a[part], b[part], 1e-11)
+        assert np.array_equal(values[part], alone)
+
+    # one integral of the second block cancels to 0 from terms of size 1e9:
+    # rounding alone keeps its error estimate above the tolerance
+    bad = _BLOCK_PANELS + 7
+
+    def cancelling(x, i):
+        wave = 1e9 * np.cos(16.0 * np.pi * (x - a[bad]) / (b[bad] - a[bad]))
+        return np.where(i == bad, wave, _jumpy(cs[i])(x))
+
+    with pytest.raises(ToleranceNotMetError):
+        integrate_intervals(cancelling, a, b, 1e-11)
+
+
+def test_intervals_memory_stays_bounded_in_blocks():
+    # 5000 integrals of about 20 octaves each: about 10^5 first-level panels,
+    # whose nodes alone would take 26 MB in one breadth-first level
+    count = 5000
+    a = 2.0 ** -10 * (1.0 + np.arange(count) / count)
+    b = 2.0 ** 10 * (1.0 - 0.5 * np.arange(count) / count)
+    tracemalloc.start()
+    try:
+        values = integrate_intervals(lambda x, i: 1.0 / x, a, b, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    np.testing.assert_allclose(values, np.log(b / a), rtol=1e-12)

@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 
 from rough_hausdorff import spaces
-from rough_hausdorff.functions import TestFunction, indicator_shell, power_function, separable
-from rough_hausdorff.quadrature import Annulus, Ball
+from rough_hausdorff.functions import (
+    AngularProfile,
+    TestFunction,
+    indicator_shell,
+    kernel_presets,
+    power_function,
+    separable,
+)
+from rough_hausdorff.operators import HausdorffOperator
+from rough_hausdorff.quadrature import Annulus, Ball, integrate_interval
 from rough_hausdorff.spaces import (
     NormDivergentError,
     SpaceSpec,
@@ -268,3 +276,58 @@ def test_general_path_skips_shells_outside_the_support(monkeypatch):
     twin = herz_norm(separable(1, lambda r: np.asarray(r, dtype=float) ** 0.5, support=(1.0, 2.0)),
                      0.2, 2.0, 1.5, w, window=(-24, 24))
     assert res.value == pytest.approx(twin.value, rel=1e-9)
+
+
+def _both_ends():
+    # support (0, inf) with a declared jump at 1.3: ~ r^0.5 at 0, ~ r^-3 at infinity
+    def radial(r):
+        r = np.asarray(r, dtype=float)
+        return np.where(r < 1.3, r ** 0.5, 2.0 * r ** -3.0)
+
+    angular = lambda p: 1.0 + 0.5 * np.atleast_2d(p)[:, 0] ** 2
+    return separable(2, radial, angular, support=(0.0, math.inf), exponents=(0.5, -3.0), jumps=(1.3,))
+
+
+_CLIPPED = separable(2, lambda r: np.asarray(r, dtype=float) ** 0.5 + 1.0, support=(0.3, 5.0), jumps=(1.0,))
+_HERZ_EDGES = 2.0 ** np.arange(-6, 5)
+_MORREY_EDGES = 2.0 ** (np.arange(-20, 17) / spaces.GRID_PER_OCTAVE)
+
+
+@pytest.mark.parametrize("f", [_both_ends(), _CLIPPED], ids=["both_ends", "clipped"])
+@pytest.mark.parametrize("edges,orders", [
+    (np.concatenate(([0.0], _HERZ_EDGES, [math.inf])), (10, 21)),
+    (np.concatenate(([0.0], _MORREY_EDGES, [math.inf])), (6, 13)),
+], ids=["herz_window", "morrey_grid"])
+def test_batched_shells_match_per_shell_integrals(f, edges, orders):
+    q, tol = 1.5, 1e-11
+    batched = spaces._shell_integrals(f, q, W_TILT2, edges, tol, orders)
+    sphere = spaces._sphere_factor(f, q, W_TILT2, tol)
+    radial = lambda r: np.abs(f.radial_values(r)) ** q * np.asarray(r, dtype=float) ** (W_TILT2.gamma + 1)
+    for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        lo, hi = max(lo, f.support[0]), min(hi, f.support[1])
+        if hi <= lo:
+            assert batched[i] == 0.0
+            continue
+        e0 = q * 0.5 + W_TILT2.gamma + 1 if lo == 0.0 else None
+        einf = q * -3.0 + W_TILT2.gamma + 1 if math.isinf(hi) else None
+        ref = integrate_interval(radial, lo, hi, tol, exponent_at_zero=e0, exponent_at_infinity=einf,
+                                 orders=orders, align=spaces._jump_radii(f)).value * sphere
+        assert batched[i] == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+def test_image_norm_solves_shells_in_few_profile_batches(monkeypatch):
+    calls = []
+    original = HausdorffOperator.radial_apply
+
+    def counted(self, f, r, tol=1e-9):
+        calls.append(np.size(r))
+        return original(self, f, r, tol)
+
+    monkeypatch.setattr(HausdorffOperator, "radial_apply", counted)
+    hardy = HausdorffOperator(kernel_presets("hardy", 1), AngularProfile.constant(1.0, 1), 1)
+    bump = separable(1, lambda r: np.asarray(r, dtype=float) ** 0.5 + 1.0, support=(0.25, 4.0), jumps=(1.0,))
+    window = (-6, 6)
+    res = central_morrey_norm(hardy.image(bump), 2.0, -0.2, W01, window=window)
+    shells = spaces.GRID_PER_OCTAVE * (window[1] - window[0]) + 1
+    assert res.value > 0.0
+    assert 0 < len(calls) < shells
