@@ -212,6 +212,12 @@ class TestFunction:
     def separable(self) -> bool:
         return self.radial is not None
 
+    @property
+    def cut_radii(self) -> tuple[float, ...]:
+        """The declared jumps at finite positive radii: panel cut points of any
+        integral of f.  Support edges need no cut: every domain is clipped to them."""
+        return tuple(j for j in self.jumps if math.isfinite(j) and j > 0.0)
+
     def radial_values(self, r) -> np.ndarray:
         if not self.separable:
             raise ValueError("not separable")

@@ -7,8 +7,10 @@ The transform of f at x is
 
 which depends on x only through |x|.  For separable f = g(|x|) h(x/|x|) the
 sphere factor int Omega h dsigma splits off and the t-integral reduces to a
-one-dimensional quadrature of Phi(t)/t * g(|x|/t); the nested general path
-is kept alongside and the two must agree.
+one-dimensional quadrature of Phi(t)/t * g(|x|/t) (over s = |x|/t when g
+has bounded support); ``radial_apply`` solves all the radii it is given in
+one ``integrate_intervals`` call.  The nested general path is kept
+alongside and the two must agree.
 
 Pointwise tolerances are split three ways across nesting levels so the
 composed error stays under the requested tolerance.
@@ -25,7 +27,7 @@ from .functions import AngularProfile, LipschitzSymbol, RadialKernel, TestFuncti
 from .quadrature import (
     Ball,
     Shell,
-    integrate_interval,
+    _sphere_sums,
     integrate_intervals,
     integrate_region,
     integrate_sphere,
@@ -50,23 +52,21 @@ def _combine_exponent_at_inf(phi_einf: float, g_e0: float | None) -> float:
     return phi_einf - 1.0 - g_e0
 
 
-def _t_bounds(phi: RadialKernel, f: TestFunction, r: float) -> tuple[float, float]:
-    """Support of t -> Phi(t) g(r/t): intersect supp Phi with (r/r_max, r/r_min)."""
-    lo, hi = phi.support
-    fl, fh = f.support
-    tlo = r / fh if fh > 0 and math.isfinite(fh) else 0.0
-    thi = r / fl if fl > 0 else math.inf
-    return max(lo, tlo), min(hi, thi)
-
-
-def _t_jump_cuts(phi: RadialKernel, f: TestFunction, r: float) -> tuple[float, ...]:
-    """Panel cut points for declared jumps: kernel support edges and the
-    test function's support edges / declared jumps mapped through t = r / s."""
-    cuts = [c for c in phi.support if math.isfinite(c) and c > 0.0]
-    for edge in (*f.support, *f.jumps):
-        if math.isfinite(edge) and edge > 0.0:
-            cuts.append(r / edge)
-    return tuple(cuts)
+def _per_radius(integrand, r: np.ndarray, lo: np.ndarray, hi: np.ndarray, cuts: np.ndarray, tol: float,
+                exponent_at_zero, exponent_at_infinity) -> np.ndarray:
+    """integrand(x, radius) over (lo[k], hi[k]) for every radius r[k], cut
+    at cuts[k], in one ``integrate_intervals`` solve; 0 where the domain is
+    empty.  The two exponent callables give the declared endpoint exponents
+    and are called only when a domain reaches that end."""
+    out = np.zeros(len(r))
+    live = hi > lo
+    if live.any():
+        lo, hi, rl = lo[live], hi[live], r[live]
+        out[live] = integrate_intervals(lambda x, i: integrand(x, rl[i]), lo, hi, tol,
+                                        exponent_at_zero() if (lo == 0.0).any() else None,
+                                        exponent_at_infinity() if np.isinf(hi).any() else None,
+                                        align=cuts[live]).value
+    return out
 
 
 @dataclass
@@ -95,95 +95,51 @@ class HausdorffOperator:
     def radial_apply(self, f: TestFunction, r, tol: float = 1e-9):
         """The radial profile of the output at radius r (separable input).
 
-        ``r`` is a float, or an array of radii giving an array of values.
-        For an array and a bounded radial factor, every radius whose
-        s-domain stays away from 0 is solved in one breadth-first batch
-        (``integrate_intervals``) with the cuts and panel tolerances of the
-        per-radius path; the other radii take the per-radius path.
+        ``r`` is a float, giving a float, or an array of radii, giving an
+        array of values; all radii are one ``integrate_intervals`` solve.  A
+        bounded radial factor is integrated over s = r/t, whose domain is its
+        support clipped to (r / sup supp Phi, r / inf supp Phi); an unbounded
+        one over t.  Either is cut at the factor's declared jumps.
         """
         if not f.separable:
             raise ValueError("radial_apply requires separable input")
-        if np.ndim(r) == 0:
-            if r <= 0:
-                raise ValueError("evaluation at the origin is out of scope")
-            return self.sphere_factor(f, tol / 3.0) * self._profile(f, float(r), tol / 3.0)
         radii = np.asarray(r, dtype=float)
-        if np.any(radii <= 0):
+        rs = radii.ravel()
+        if np.any(rs <= 0):
             raise ValueError("evaluation at the origin is out of scope")
         sf = self.sphere_factor(f, tol / 3.0)
-        flat = radii.ravel()
-        out = np.zeros(flat.shape)
-        single = np.ones(flat.shape, dtype=bool)  # radii left to the per-radius path
         fl, fh = f.support
         if math.isfinite(fh):
             philo, phihi = self.phi.support
-            slo = np.maximum(fl, flat / phihi) if math.isfinite(phihi) else np.full(flat.shape, fl)
-            shi = np.minimum(fh, flat / philo) if philo > 0.0 else np.full(flat.shape, fh)
-            live = shi > slo  # the others have an empty domain and stay 0
-            batch = live & (slo > 0.0)
-            single = live & ~batch
-            if np.any(batch):
-                rb = flat[batch]
-                align = [rb / c for c in (philo, phihi) if math.isfinite(c) and c > 0.0]
-                align += [np.full(rb.shape, j) for j in f.jumps if math.isfinite(j) and j > 0.0]
+            lo = np.maximum(fl, rs / phihi)
+            hi = np.minimum(fh, rs / philo) if philo > 0.0 else np.full(rs.shape, fh)
 
-                def integrand(s, i):
-                    return self.phi(rb[i] / s) / s * f.radial_values(s)
-
-                out[batch] = integrate_intervals(integrand, slo[batch], shi[batch], tol / 3.0,
-                                                 align=np.stack(align, axis=1) if align else None)
-        for i in np.flatnonzero(single):
-            out[i] = self._profile(f, float(flat[i]), tol / 3.0)
-        return sf * out.reshape(radii.shape)
-
-    def _profile(self, f: TestFunction, r: float, tol: float) -> float:
-        """The radial profile at r divided by the sphere factor, to tolerance tol."""
-        fl, fh = f.support
-        if math.isfinite(fh):
-            # substitute s = r/t: the domain becomes the (bounded) support of
-            # the radial factor, independent of r; kernel jumps land at s = r/c
-            philo, phihi = self.phi.support
-            slo = max(fl, r / phihi if math.isfinite(phihi) else 0.0)
-            shi = min(fh, r / philo if philo > 0.0 else math.inf)
-            if shi <= slo:
-                return 0.0
-
-            def integrand_s(s):
-                s = np.asarray(s, dtype=float)
-                return self.phi(r / s) / s * f.radial_values(s)
-
-            e0_s = None
-            if slo == 0.0:
-                ez = f.radial_exponent_at_zero
-                phinf = self.phi.exponent_at_infinity
+            def e0_s():  # Phi(r/s)/s g(s) ~ s^{-phinf - 1 + e} as s -> 0
+                ez, phinf = f.radial_exponent_at_zero, self.phi.exponent_at_infinity
                 if phinf == -math.inf or ez == math.inf:
-                    e0_s = math.inf
-                elif ez is None:
+                    return math.inf
+                if ez is None:
                     raise ValueError(f"test function {f.name!r} needs a radial exponent at 0")
-                else:
-                    e0_s = -phinf - 1.0 + ez
-            align = tuple(r / c for c in (philo, phihi) if math.isfinite(c) and c > 0.0)
-            align = align + tuple(j for j in f.jumps if math.isfinite(j) and j > 0.0)
-            return integrate_interval(integrand_s, slo, shi, tol,
-                                      exponent_at_zero=e0_s, align=align).value
+                return -phinf - 1.0 + ez
 
-        def integrand(t):
-            t = np.asarray(t, dtype=float)
-            return self.phi(t) / t * f.radial_values(r / t)
+            out = _per_radius(lambda s, radius: self.phi(radius / s) / s * f.radial_values(s), rs, lo, hi,
+                              np.tile(f.cut_radii, (len(rs), 1)), tol / 3.0, e0_s, lambda: None)
+        else:
+            out = self._t_integral(lambda t, radius: self.phi(t) / t * f.radial_values(radius / t), f, rs,
+                                   tol / 3.0)
+        out = sf * out
+        return float(out[0]) if radii.ndim == 0 else out.reshape(radii.shape)
 
-        return self._t_integral(integrand, f, r, tol)
-
-    def _t_integral(self, integrand, f: TestFunction, r: float, tol: float) -> float:
-        """integrand over the t-range where Phi(t) f(r y'/t) can be nonzero,
-        with the endpoint exponents and jump cuts that Phi and f declare."""
-        lo, hi = _t_bounds(self.phi, f, r)
-        if hi <= lo:
-            return 0.0
-        e0 = _combine_exponent_at_zero(self.phi.exponent_at_zero, f.radial_exponent_at_infinity) if lo == 0.0 else None
-        einf = _combine_exponent_at_inf(self.phi.exponent_at_infinity, f.radial_exponent_at_zero) if math.isinf(hi) else None
-        return integrate_interval(integrand, lo, hi, tol, exponent_at_zero=e0,
-                                  exponent_at_infinity=einf,
-                                  align=_t_jump_cuts(self.phi, f, r)).value
+    def _t_integral(self, integrand, f: TestFunction, r: np.ndarray, tol: float) -> np.ndarray:
+        """integrand(t, radius) over the t-range where Phi(t) f(r y'/t) can be
+        nonzero, for every radius r[k], with the endpoint exponents that Phi
+        and f declare and a cut where f jumps (t = r / jump)."""
+        (philo, phihi), (fl, fh) = self.phi.support, f.support
+        lo = np.maximum(philo, r / fh if 0.0 < fh < math.inf else np.zeros(r.shape))
+        hi = np.minimum(phihi, r / fl if fl > 0.0 else np.full(r.shape, math.inf))
+        return _per_radius(integrand, r, lo, hi, r[:, None] / np.array(f.cut_radii), tol,
+                           lambda: _combine_exponent_at_zero(self.phi.exponent_at_zero, f.radial_exponent_at_infinity),
+                           lambda: _combine_exponent_at_inf(self.phi.exponent_at_infinity, f.radial_exponent_at_zero))
 
     def apply(self, f: TestFunction, x, tol: float = 1e-9) -> float:
         """Transform value at a single point x != 0."""
@@ -197,13 +153,10 @@ class HausdorffOperator:
         pts, w = sphere_nodes(self.dim, 6 if self.dim > 1 else 0)
         weights = w * self.omega(pts)
 
-        def integrand(t):
-            t = np.asarray(t, dtype=float)
-            coords = (r / t)[:, None, None] * pts[None, :, :]
-            vals = np.asarray(f(coords.reshape(-1, self.dim)), dtype=float).reshape(len(t), -1)
-            return self.phi(t) / t * (vals @ weights)
+        def integrand(t, radius):
+            return self.phi(t) / t * _sphere_sums(f, radius / t, pts, weights)
 
-        return self._t_integral(integrand, f, r, tol / 3.0)
+        return float(self._t_integral(integrand, f, np.array([r]), tol / 3.0)[0])
 
     def image(self, f: TestFunction, tol: float = 1e-9) -> TestFunction:
         """The output as a radial TestFunction with memoized profile."""

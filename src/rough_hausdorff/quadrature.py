@@ -1,13 +1,18 @@
-"""Quadrature engines: one adaptive interval engine on (a, b), 0 <= a < b <= inf
-(with a batched form for many bounded intervals), spheres S^{n-1} (n <= 3)
-and radial regions.
+"""Quadrature engines: one adaptive interval engine, spheres S^{n-1} (n <= 3)
+and radial shells.
 
-Interval integrals run over panels whose endpoints are powers of two (this
+``integrate_intervals`` solves many integrals over (a[i], b[i]),
+0 <= a[i] < b[i] <= inf, at once; ``integrate_interval`` is its one-row
+form, and every 1-D integral of the package goes through it.  Each
+integral's bounded block of panels has endpoints at powers of two (this
 keeps the jump points of the indicator presets, in particular t = 1, on
-panel boundaries).  An endpoint at 0 or infinity expands outward in
-u = ln t, so that power-law behaviour becomes exponential decay in u, panels
-widening geometrically once the integrand is in its power-law regime, until
-either
+panel boundaries), and the blocks of all integrals are refined together,
+one tree level per integrand call.  A level is held in memory, so one
+integral may hold at most ``_MAX_PANELS`` live panels at a level; a
+refinement that outruns its tolerances raises ToleranceNotMetError there.
+An endpoint at 0 or infinity expands outward in u = ln t, so that
+power-law behaviour becomes exponential decay in u, panels widening
+geometrically once the integrand is in its power-law regime, until either
 
   * panel contributions certify a geometric tail (declared endpoint
     exponents give the exact panel ratio for power-law tails; the observed
@@ -17,6 +22,11 @@ either
 Declared endpoint exponents are the first divergence gate: an integrand
 declared ~ t^{e0} at 0 and ~ t^{einf} at infinity converges iff e0 > -1 and
 einf < -1 (with +-inf allowed for one-sided compact support).
+
+Shell integrals of a point function in R^n (``integrate_shells``, with the
+one-shell form ``integrate_region``) are radial integrals of sphere sums;
+``_sphere_sums`` evaluates those in chunks of 2^14 // (sphere nodes) radii
+(at least one), however many radii a tree level carries.
 """
 
 from __future__ import annotations
@@ -75,68 +85,61 @@ _PAIRS: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
 
 
 def _pair(orders: tuple[int, int]) -> tuple[np.ndarray, ...]:
-    """(low nodes, low weights, high nodes, high weights) of a Gauss-Legendre rule pair."""
+    """(low nodes, low weights, high nodes, high weights, low then high nodes)
+    of a Gauss-Legendre rule pair."""
     if orders not in _PAIRS:
-        _PAIRS[orders] = (*_gl(orders[0]), *_gl(orders[1]))
+        (xlo, wlo), (xhi, whi) = _gl(orders[0]), _gl(orders[1])
+        _PAIRS[orders] = (xlo, wlo, xhi, whi, np.concatenate((xlo, xhi)))
     return _PAIRS[orders]
 
 
 _REL_FLOOR = 5e-15  # no panel is refined below machine precision x its L1 mass
 _REL = 1e-12  # every interval integral is accepted at max(tol, _REL |value|)
-_MAX_PANELS = 4000  # expansion panels per side before ToleranceNotMetError
-_BLOCK_PANELS = 512  # first-level panels per breadth-first block of integrate_intervals
+_MAX_PANELS = 4000  # live panels of one integral at one tree level; expansion panels per side
+# first-level panels per breadth-first block of integrate_intervals.  A level's arrays then
+# stay near 64 KB: at 512 (127 KB) one run of the bundled campaign took about 300,000 minor
+# page faults as glibc trimmed and regrew its heap, at 256 about 500
+_BLOCK_PANELS = 256
 
 
 def _judge(glo, ghi, half, tol, depth: int, pair: tuple[np.ndarray, ...]):
-    """The rule pair and acceptance test shared by every adaptive panel loop.
+    """The rule pair and acceptance test of the adaptive panel loop.
 
     ``glo`` / ``ghi`` hold the integrand at the low- and high-order nodes of
-    ``pair`` on one panel (1-D) or on a stack of panels (2-D, one row each),
-    ``half`` the panel half-widths.  Returns (value, error estimate, accepted).
+    ``pair`` on a stack of panels (one row each), ``half`` the panel
+    half-widths.  Returns (values, error estimates, accepted).  The rule sums
+    are einsum loops, not BLAS: those sum a row in the same order however
+    many rows the stack has, so no integral depends on the others in a call.
     """
-    _, wlo, _, whi = pair
-    slo, shi, sabs = np.dot(glo, wlo), np.dot(ghi, whi), np.dot(np.abs(ghi), whi)
-    if ghi.ndim == 1:  # one panel: Python float arithmetic is cheaper than numpy scalars
-        slo, shi, sabs = float(slo), float(shi), float(sabs)
-    vhi = half * shi
-    err = abs(vhi - half * slo)
-    accepted = (err <= tol) | (err <= _REL_FLOOR * (half * sabs)) | (depth >= 48) | (half <= 1e-300)
+    vhi = half * np.einsum("...j,j->...", ghi, pair[3])
+    err = abs(vhi - half * np.einsum("...j,j->...", glo, pair[1]))
+    accepted = err <= tol
+    if not accepted.all():
+        sabs = np.einsum("...j,j->...", np.abs(ghi), pair[3])
+        accepted = accepted | (err <= _REL_FLOOR * (half * sabs)) | (depth >= 48) | (half <= 1e-300)
     return vhi, err, accepted
-
-
-def _panel(g, a: float, b: float, tol: float, depth: int = 0,
-           orders: tuple[int, int] = (10, 21)) -> tuple[float, float]:
-    """Adaptive Gauss-Legendre on [a, b]; returns (value, error estimate).
-
-    Bisection only triggers on disagreement between the low- and high-order
-    rules, i.e. effectively at interior non-smooth points.
-    """
-    pair = _pair(orders)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    ghi = np.asarray(g(mid + half * pair[2]), dtype=float)
-    glo = np.asarray(g(mid + half * pair[0]), dtype=float)
-    vhi, err, accepted = _judge(glo, ghi, half, tol, depth, pair)
-    if accepted:
-        return vhi, err
-    lv, le = _panel(g, a, mid, 0.5 * tol, depth + 1, orders)
-    rv, re = _panel(g, mid, b, 0.5 * tol, depth + 1, orders)
-    return lv + rv, le + re
 
 
 def _panels_breadth_first(g, a: np.ndarray, b: np.ndarray, tol: np.ndarray, owner: np.ndarray,
                           count: int, orders: tuple[int, int] = (10, 21)) -> tuple[np.ndarray, np.ndarray]:
-    """``_panel`` on many panels at once, one tree level per integrand call.
+    """Adaptive Gauss-Legendre on many panels at once, one tree level per integrand call.
 
     Panel j spans [a[j], b[j]] with tolerance tol[j] and belongs to integral
     owner[j] < count; ``g(x, owner)`` evaluates each point x under the
-    integral named by its owner.  Bisection and acceptance follow ``_panel``
-    under the same rule pair ``orders`` exactly, so every integral gets the
-    same panel tree; only the order in which accepted panels are summed
-    differs.  Returns per-integral (values, error estimates).
+    integral named by its owner.  A panel whose two rules ``orders``
+    disagree by more than its tolerance is bisected and each half gets half
+    the tolerance, so bisection only triggers at interior non-smooth
+    points.  Every panel gets the tree a depth-first recursion would build;
+    an integral's accepted panels are summed level by level, in the same
+    order whatever other integrals share the call.  Returns per-integral
+    (values, error estimates).
+
+    Raises ToleranceNotMetError as soon as one integral holds more than
+    ``_MAX_PANELS`` live panels at one level: the whole level is in memory,
+    so a refinement that outruns its tolerances must stop there.
     """
     pair = _pair(orders)
-    nodes = np.concatenate((pair[0], pair[2]))
+    nodes = pair[4]
     nlo = len(pair[0])
     value = np.zeros(count)
     err = np.zeros(count)
@@ -145,7 +148,7 @@ def _panels_breadth_first(g, a: np.ndarray, b: np.ndarray, tol: np.ndarray, owne
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
         x = mid[:, None] + half[:, None] * nodes
-        gx = np.asarray(g(x.ravel(), np.repeat(owner, len(nodes))), dtype=float).reshape(x.shape)
+        gx = np.asarray(g(x.ravel(), owner.repeat(len(nodes))), dtype=float).reshape(x.shape)
         v, e, accepted = _judge(gx[:, :nlo], gx[:, nlo:], half, tol, depth, pair)
         if accepted.all():
             return value + np.bincount(owner, v, count), err + np.bincount(owner, e, count)
@@ -158,35 +161,35 @@ def _panels_breadth_first(g, a: np.ndarray, b: np.ndarray, tol: np.ndarray, owne
         tol = np.concatenate((tol, tol))
         owner = owner[split]
         owner = np.concatenate((owner, owner))
+        if len(owner) > _MAX_PANELS and np.bincount(owner).max() > _MAX_PANELS:
+            raise ToleranceNotMetError(f"more than {_MAX_PANELS} live panels in one integral")
         depth += 1
     return value, err
 
 
-def _panel_tol(tol: float, j: int) -> float:
-    # sum over both sides of tol / (7 (1 + j^2)) stays below 0.5 tol
-    return max(tol / (7.0 * (1.0 + j * j)), 1e-17)
-
-
-def _log_panel(g, a: float, b: float, tol: float, orders=(10, 21)) -> tuple[float, float]:
-    """Panel integral of g over [a, b] in u = ln t coordinates."""
-
-    def gu(u):
-        t = np.exp(np.asarray(u, dtype=float))
-        return np.asarray(g(t), dtype=float) * t
-
-    return _panel(gu, math.log(a), math.log(b), tol, orders=orders)
+def _panel_tol(tol: float, j):
+    # the tolerance of panel j (a number or an array); the sum over both sides
+    # of tol / (7 (1 + j^2)) stays below 0.5 tol
+    return np.maximum(tol / (7.0 * (1.0 + j * j)), 1e-17)
 
 
 def _expand(g, edge: float, direction: int, tol: float, rho_oct: float | None,
             orders: tuple[int, int], value: float) -> tuple[float, float, float]:
     """Outward panel expansion from ``edge`` toward 0 (direction -1) or infinity (+1).
 
-    ``rho_oct`` is the declared per-octave decay ratio of panel values
-    (< 1 for a convergent power-law side; None when no exponent is known,
-    in which case only observed decay with unit-octave panels is used).
-    ``value`` is the integral accumulated so far; the tail is certified
-    against max(tol, _REL |value|) / 8.  Returns (value, error, tail bound).
+    ``g(x, owner)`` is the integrand, called with owner 0; each step is one
+    panel in u = ln t, solved by ``_panels_breadth_first``.  ``rho_oct`` is
+    the declared per-octave decay ratio of panel values (< 1 for a
+    convergent power-law side; None when no exponent is known, in which
+    case only observed decay with unit-octave panels is used).  ``value`` is
+    the integral accumulated so far; the tail is certified against
+    max(tol, _REL |value|) / 8.  Returns (value, error, tail bound).
     """
+
+    def gu(u, owner):
+        t = np.exp(u)
+        return np.asarray(g(t, owner), dtype=float) * t
+
     threshold = max(tol, _REL * abs(value)) / 8.0
     width = 1.0
     total = 0.0
@@ -200,7 +203,9 @@ def _expand(g, edge: float, direction: int, tol: float, rho_oct: float | None,
             a, b = edge, edge * 2.0 ** width
         else:
             a, b = edge * 2.0 ** (-width), edge
-        v, e = _log_panel(g, a, b, _panel_tol(tol, step), orders)
+        v, e = _panels_breadth_first(gu, np.array([math.log(a)]), np.array([math.log(b)]),
+                                     np.atleast_1d(_panel_tol(tol, step)), np.zeros(1, dtype=int), 1, orders)
+        v, e = float(v[0]), float(e[0])
         total += v
         err += e
         if v == 0.0:
@@ -250,20 +255,15 @@ def _effective_rho(history, rho_oct: float | None) -> float | None:
     return min(max(rho_oct, obs), 0.999999)
 
 
-def _rho_toward_inf(exponent_at_infinity: float | None) -> float | None:
-    if exponent_at_infinity is None:
+def _rho_per_octave(exponent: float | None, direction: int) -> float | None:
+    """Per-octave ratio of the panel values of t^e toward 0 (direction -1)
+    or infinity (+1): 0 for a side that vanishes (e = +-inf; the divergence
+    gate has rejected the other sign), None when no exponent is declared."""
+    if exponent is None:
         return None
-    if exponent_at_infinity == -math.inf:
+    if math.isinf(exponent):
         return 0.0
-    return 2.0 ** (exponent_at_infinity + 1.0)
-
-
-def _rho_toward_zero(exponent_at_zero: float | None) -> float | None:
-    if exponent_at_zero is None:
-        return None
-    if exponent_at_zero == math.inf:
-        return 0.0
-    return 2.0 ** (-(exponent_at_zero + 1.0))
+    return 2.0 ** (direction * (exponent + 1.0))
 
 
 def integrate_interval(
@@ -276,107 +276,97 @@ def integrate_interval(
     orders: tuple[int, int] = (10, 21),
     align: tuple[float, ...] = (),
 ) -> QuadratureResult:
-    """Integrate g over (a, b), 0 <= a < b <= inf; tolerance is max(tol, 1e-12 |value|).
-
-    Finite positive endpoints bound a block of panels cut at powers of two
-    and at ``align`` (known jump locations: a jump hiding in the node-free
-    gap at a panel edge would otherwise defeat the two-rule error
-    estimate).  An endpoint at 0 or inf expands outward from that block,
-    the declared exponents giving the tail certification and the first
-    divergence gate.
-    """
-    if not (0.0 <= a < b):
-        raise ValueError(f"bad interval ({a}, {b})")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if a == 0.0 and exponent_at_zero is not None and exponent_at_zero <= -1.0:
-        raise DivergentIntegralError("declared exponent at 0 violates convergence")
-    if math.isinf(b) and exponent_at_infinity is not None and exponent_at_infinity >= -1.0:
-        raise DivergentIntegralError("declared exponent at infinity violates convergence")
-
-    inner = a if a > 0.0 else (min(b, 1.0) if math.isfinite(b) else 1.0) * 0.5 ** 8
-    outer = b if math.isfinite(b) else max(a, 1.0) * 2.0 ** 8
-    cuts = sorted({inner, outer}
-                  | {2.0 ** k for k in range(math.floor(math.log2(inner)) + 1,
-                                             math.ceil(math.log2(outer)))
-                     if inner < 2.0 ** k < outer}
-                  | {c for c in align if inner < c < outer})
-    value = err = tail = 0.0
-    for i in range(len(cuts) - 1):
-        v, e = _panel(g, cuts[i], cuts[i + 1], _panel_tol(tol, i), orders=orders)
-        value += v
-        err += e
-
-    sides = []
-    if a == 0.0:
-        sides.append((inner, -1, _rho_toward_zero(exponent_at_zero)))
-    if math.isinf(b):
-        sides.append((outer, +1, _rho_toward_inf(exponent_at_infinity)))
-    for edge, direction, rho in sides:
-        v, e, side_tail = _expand(g, edge, direction, tol, rho, orders, value)
-        value += v
-        err += e
-        tail += side_tail
-
-    if err + tail > max(tol, _REL * abs(value)):
-        raise ToleranceNotMetError(
-            f"error estimate {err:.3g} + tail {tail:.3g} exceeds tol {tol:.3g}"
-        )
-    return QuadratureResult(value, err, tail)
+    """Integrate g over (a, b), 0 <= a < b <= inf: the one-row form of ``integrate_intervals``."""
+    res = integrate_intervals(lambda x, i: g(x), [a], [b], tol, exponent_at_zero, exponent_at_infinity,
+                              orders, [align] if len(align) else None)
+    return QuadratureResult(float(res.value[0]), float(res.abs_error_estimate[0]), float(res.tail_bound[0]))
 
 
 def integrate_intervals(
     g: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    a: np.ndarray,
-    b: np.ndarray,
+    a,
+    b,
     tol: float,
-    align: np.ndarray | None = None,
+    exponent_at_zero: float | None = None,
+    exponent_at_infinity: float | None = None,
     orders: tuple[int, int] = (10, 21),
-) -> np.ndarray:
-    """Integrate over many bounded intervals (a[i], b[i]), 0 < a[i] < b[i] < inf, in one solve.
+    align: np.ndarray | None = None,
+) -> QuadratureResult:
+    """Integrate over many intervals (a[i], b[i]), 0 <= a[i] < b[i] <= inf, in one solve.
 
-    ``g(x, i)`` evaluates integral i[k] at point x[k].  ``align[i]`` lists
-    integral i's extra cut points (non-finite entries are ignored).  Each
-    integral is cut and given panel tolerances exactly as
-    ``integrate_interval(g_i, a[i], b[i], tol, orders=orders, align=align[i])``
-    does, and the panels are refined together by ``_panels_breadth_first``
-    under the rule pair ``orders``, so the values match that call to rounding.
+    ``g(x, i)`` evaluates integral i[k] at point x[k]; integral i is
+    accepted at max(tol, 1e-12 |value i|).  Each integral's bounded block
+    runs from a[i] to b[i], an end at 0 replaced by min(b[i], 1) 2^-8 and an
+    end at inf by max(a[i], 1) 2^8, and is cut into panels at the powers of
+    two and at the finite entries of ``align[i]`` (known jump locations: a
+    jump hiding in the node-free gap at a panel edge would otherwise defeat
+    the two-rule error estimate); panel j gets the tolerance
+    ``_panel_tol(tol, j)``.  The blocks of all
+    integrals are refined together by ``_panels_breadth_first`` under the
+    rule pair ``orders``, in consecutive batches of whole integrals holding
+    at most ``_BLOCK_PANELS`` first-level panels by the count dyadic cuts +
+    align columns + 1 (one integral with more forms a batch alone), so the
+    working arrays stay bounded however many integrals one call carries.
+    An integral reaching 0 or inf then expands outward from its block
+    (``_expand``).  ``exponent_at_zero`` / ``exponent_at_infinity`` declare
+    the integrand ~ t^e of the integrals reaching that end: they certify
+    the tail and are the first divergence gate.
 
-    The integrals are solved in consecutive blocks of whole integrals, each
-    holding at most ``_BLOCK_PANELS`` first-level panels by the count
-    dyadic cuts + align columns + 1 per integral (one integral with more
-    forms a block alone), so the working arrays stay bounded however many
-    integrals one call carries.  A block never splits an integral, and an
-    integral's sum runs in the same order in any block, so every value is
-    bit for bit the one a call holding its block alone gives.  Raises
-    ToleranceNotMetError when any integral misses its tolerance.
+    No integral's value depends on the others in the call: each is bit for
+    bit its one-row call.  Returns a QuadratureResult of arrays (values,
+    error estimates, tail bounds); raises ToleranceNotMetError when any
+    integral misses its tolerance.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    if not np.all((0.0 <= a) & (a < b)):
+        raise ValueError("intervals need 0 <= a < b <= inf")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    to_zero, to_inf = a == 0.0, np.isinf(b)
+    if to_zero.any() and exponent_at_zero is not None and exponent_at_zero <= -1.0:
+        raise DivergentIntegralError("declared exponent at 0 violates convergence")
+    if to_inf.any() and exponent_at_infinity is not None and exponent_at_infinity >= -1.0:
+        raise DivergentIntegralError("declared exponent at infinity violates convergence")
+    inner = np.where(to_zero, np.minimum(b, 1.0) * 0.5 ** 8, a)
+    outer = np.where(to_inf, np.maximum(a, 1.0) * 2.0 ** 8, b)
+
     count = len(a)
-    if count == 0:
-        return np.zeros(0)
-    if not np.all((0.0 < a) & (a < b) & (b < math.inf)):
-        raise ValueError("integrate_intervals needs 0 < a < b < inf")
     extra = np.empty((count, 0)) if align is None else np.asarray(align, dtype=float).reshape(count, -1)
-    # dyadic cuts 2^k with floor(log2 a) < k < ceil(log2 b), as in integrate_interval
-    klo = np.floor(np.log2(a)) + 1.0
-    khi = np.ceil(np.log2(b))
+    # dyadic cuts 2^k with floor(log2 inner) < k < ceil(log2 outer)
+    klo = np.floor(np.log2(inner)) + 1.0
+    khi = np.ceil(np.log2(outer))
     ends = np.cumsum(np.maximum(khi - klo, 0.0) + extra.shape[1] + 1.0)  # panel bound, accumulated
     value = np.empty(count)
+    err = np.empty(count)
     start = 0
     while start < count:
         done = ends[start - 1] if start else 0.0
         stop = max(start + 1, int(np.searchsorted(ends, done + _BLOCK_PANELS, side="right")))
         blk = slice(start, stop)
-        lo, hi, panel_tol, owner = _first_panels(a[blk], b[blk], klo[blk], khi[blk], extra[blk], tol)
-        v, e = _panels_breadth_first(lambda x, i, first=start: g(x, i + first), lo, hi, panel_tol, owner,
-                                     stop - start, orders)
-        if np.any(e > np.maximum(tol, _REL * np.abs(v))):
-            raise ToleranceNotMetError("interval tolerance not met")
-        value[blk] = v
+        lo, hi, panel_tol, owner = _first_panels(inner[blk], outer[blk], klo[blk], khi[blk], extra[blk], tol)
+        value[blk], err[blk] = _panels_breadth_first(lambda x, i, first=start: g(x, i + first), lo, hi,
+                                                     panel_tol, owner, stop - start, orders)
         start = stop
-    return value
+
+    tail = np.zeros(count)
+    sides = ((inner, -1, exponent_at_zero, to_zero), (outer, +1, exponent_at_infinity, to_inf))
+    for i in np.flatnonzero(to_zero | to_inf):
+        for edge, direction, exponent, reaches in sides:
+            if reaches[i]:
+                v, e, t = _expand(lambda x, o, i=i: g(x, o + i), float(edge[i]), direction, tol,
+                                  _rho_per_octave(exponent, direction), orders, float(value[i]))
+                value[i] += v
+                err[i] += e
+                tail[i] += t
+
+    missed = np.flatnonzero(err + tail > np.maximum(tol, _REL * np.abs(value)))
+    if missed.size:
+        i = missed[0]
+        raise ToleranceNotMetError(
+            f"integral {i}: error estimate {err[i]:.3g} + tail {tail[i]:.3g} exceeds tol {tol:.3g}"
+        )
+    return QuadratureResult(value, err, tail)
 
 
 def _first_panels(a, b, klo, khi, extra, tol: float):
@@ -397,8 +387,7 @@ def _first_panels(a, b, klo, khi, extra, tol: float):
     first = np.searchsorted(row, np.arange(count))
     inner = row[1:] == row[:-1]  # consecutive cuts of one integral bound a panel
     j = (np.arange(len(edge) - 1) - first[row[:-1]])[inner].astype(float)
-    panel_tol = np.maximum(tol / (7.0 * (1.0 + j * j)), 1e-17)  # _panel_tol, vectorised
-    return edge[:-1][inner], edge[1:][inner], panel_tol, row[:-1][inner]
+    return edge[:-1][inner], edge[1:][inner], _panel_tol(tol, j), row[:-1][inner]
 
 
 # ---------------------------------------------------------------------------
@@ -486,47 +475,82 @@ def integrate_region(
     radial_exponent_at_infinity: float | None = None,
     align: tuple[float, ...] = (),
 ) -> QuadratureResult:
-    """Integrate f over a radial region of R^n via polar factorization.
-
-    ``f`` takes batched points of shape (m, n).  The sphere rule level is
-    chosen adaptively on probe radii, then the radial integral runs with
-    that fixed rule; declared exponents describe the point function's
-    behaviour near 0/inf (the r^{n-1} factor is added internally), and
-    ``align`` lists radii where it jumps, as in ``integrate_interval``.
-    """
+    """Integrate f over a radial region of R^n: the one-shell form of ``integrate_shells``."""
     a, b = _radial_bounds(region)
+    res = integrate_shells(n, f, [a], [b], tol, radial_exponent_at_zero, radial_exponent_at_infinity, align)
+    return QuadratureResult(float(res.value[0]), float(res.abs_error_estimate[0]), float(res.tail_bound[0]))
 
-    level = 0
-    if n > 1:
-        lo = a if a > 0 else (b / 64.0 if math.isfinite(b) else 2.0 ** -6)
-        hi = b if math.isfinite(b) else max(2.0 * lo, 2.0 ** 6)
-        probes = np.geomspace(max(lo, 1e-12), hi, 5)
-        for level in range(0, 10):
-            pts, w = sphere_nodes(n, level)
-            pts2, w2 = sphere_nodes(n, level + 1)
-            worst = 0.0
-            for r in probes:
-                v1 = float(np.dot(w, np.asarray(f(r * pts), dtype=float)))
-                v2 = float(np.dot(w2, np.asarray(f(r * pts2), dtype=float)))
-                worst = max(worst, abs(v1 - v2))
-            if worst <= tol * 1e-3 or worst <= tol / max(b - a if math.isfinite(b) else 1.0, 1.0) * 0.1:
-                level = level + 1
-                break
 
-    pts, w = sphere_nodes(n, level)
+def integrate_shells(
+    n: int,
+    f: Callable[[np.ndarray], np.ndarray],
+    a,
+    b,
+    tol: float,
+    radial_exponent_at_zero: float | None = None,
+    radial_exponent_at_infinity: float | None = None,
+    align: tuple[float, ...] = (),
+) -> QuadratureResult:
+    """Integrate f over each shell a[i] < |x| < b[i] of R^n, 0 <= a[i] < b[i] <= inf,
+    via polar factorization.
 
-    def radial(r_batch):
-        r = np.asarray(r_batch, dtype=float)
-        coords = r[:, None, None] * pts[None, :, :]
-        flat = coords.reshape(-1, n)
-        vals = np.asarray(f(flat), dtype=float).reshape(len(r), -1)
-        return (vals @ w) * r ** (n - 1)
+    ``f`` takes batched points of shape (m, n).  Each shell gets its own
+    sphere rule level, chosen on probe radii (``_sphere_levels``); the
+    radial integrals then run as one ``integrate_intervals`` solve, each
+    point under its shell's rule.  Declared exponents describe the point
+    function's behaviour near 0/inf (the r^{n-1} factor is added
+    internally), and ``align`` lists radii where it jumps.  Returns a
+    QuadratureResult of arrays.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    level = _sphere_levels(n, f, a, b, tol)
+    rules = {lv: sphere_nodes(n, lv) for lv in np.unique(level).tolist()}
 
-    e0 = None
-    if radial_exponent_at_zero is not None:
-        e0 = radial_exponent_at_zero + (n - 1)
-    einf = None
-    if radial_exponent_at_infinity is not None:
-        einf = radial_exponent_at_infinity + (n - 1)
-    return integrate_interval(radial, a, b, tol, exponent_at_zero=e0, exponent_at_infinity=einf,
-                              align=align)
+    def radial(r, i):
+        out = np.empty(len(r))
+        for lv, (pts, w) in rules.items():
+            sel = level[i] == lv
+            out[sel] = _sphere_sums(f, r[sel], pts, w)
+        return out * r ** (n - 1)
+
+    e0 = None if radial_exponent_at_zero is None else radial_exponent_at_zero + (n - 1)
+    einf = None if radial_exponent_at_infinity is None else radial_exponent_at_infinity + (n - 1)
+    return integrate_intervals(radial, a, b, tol, e0, einf, align=np.tile(align, (len(a), 1)) if len(align) else None)
+
+
+def _sphere_levels(n: int, f, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """Per shell, the sphere rule level one above the first level whose
+    refinement moves the sphere sum of f by at most max(1e-3 tol,
+    0.1 tol / max(b - a, 1)) at all five probe radii (level 9 if none does)."""
+    level = np.zeros(len(a), dtype=int)
+    if n == 1:
+        return level
+    finite = np.isfinite(b)
+    lo = np.where(a > 0, a, np.where(finite, b / 64.0, 2.0 ** -6))
+    hi = np.where(finite, b, np.maximum(2.0 * lo, 2.0 ** 6))
+    probes = np.geomspace(np.maximum(lo, 1e-12), hi, 5, axis=1)
+    gate = np.maximum(tol * 1e-3, tol / np.maximum(np.where(finite, b - a, 1.0), 1.0) * 0.1)
+    undecided = np.arange(len(a))
+    for lv in range(10):
+        r = probes[undecided].ravel()
+        change = _sphere_sums(f, r, *sphere_nodes(n, lv)) - _sphere_sums(f, r, *sphere_nodes(n, lv + 1))
+        done = np.abs(change).reshape(-1, 5).max(axis=1) <= gate[undecided]
+        level[undecided] = np.where(done, lv + 1, lv)
+        undecided = undecided[~done]
+        if not undecided.size:
+            break
+    return level
+
+
+def _sphere_sums(f, radii: np.ndarray, pts: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_j w[j] f(radii[k] pts[j]) for each radius, evaluated in chunks of
+    at most 2^14 // len(w) radii, so the points in flight stay bounded
+    however many radii a breadth-first level carries."""
+    step = max(1, 2 ** 14 // len(w))
+    out = np.empty(len(radii))
+    for s in range(0, len(radii), step):
+        r = radii[s:s + step]
+        vals = np.asarray(f((r[:, None, None] * pts).reshape(-1, pts.shape[1])), dtype=float)
+        out[s:s + step] = vals.reshape(len(r), -1) @ w
+    return out

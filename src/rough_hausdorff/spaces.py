@@ -12,14 +12,14 @@ Conventions shared by every evaluator:
     reported divergent.
   * Every norm reduces to integrals of |f|^q w over shells a < |x| < b
     (dyadic annuli, or the segments between grid radii), computed by one
-    helper, ``_shell_integrals``.  It clips each shell to f's support and
-    skips the empty ones.  A separable function factors exactly into a
-    radial integral per shell times one sphere integral per norm, and all
-    its bounded shells with a positive lower edge are one breadth-first
+    helper, ``_shell_integrals``.  It clips each shell to f's support,
+    skips the empty ones and solves the rest in one engine call, the shell
+    from 0 and the shell out to infinity included.  A separable function
+    factors exactly into a radial integral per shell times one sphere
+    integral per norm: its shells are one breadth-first
     ``integrate_intervals`` solve (for an operator image, one profile batch
-    per panel-tree level instead of one per panel); the shells from 0 and
-    out to infinity keep ``integrate_interval`` and its endpoint
-    expansion.  Any other function gets one region integral per shell.
+    per panel-tree level).  Any other function is one ``integrate_shells``
+    solve.
 
 q < 1 is rejected: the shell norms would only be quasi-norms and every
 boundedness statement exercised here assumes q >= 1.
@@ -39,9 +39,8 @@ from .quadrature import (
     Ball,
     Shell,
     _radial_bounds,
-    integrate_interval,
     integrate_intervals,
-    integrate_region,
+    integrate_shells,
     integrate_sphere,
 )
 from .weights import Weight, ball_mass
@@ -91,68 +90,42 @@ def _sphere_factor(f: TestFunction, q: float, w: Weight, tol: float) -> float:
     return integrate_sphere(f.dim, g, tol).value
 
 
-def _jump_radii(f: TestFunction) -> tuple[float, ...]:
-    """The finite, positive support edges and declared jumps of f: panel cut points."""
-    return tuple(c for c in (*f.support, *f.jumps) if math.isfinite(c) and c > 0.0)
-
-
 def _shell_integrals(f: TestFunction, q: float, w: Weight, edges, tol: float,
                      orders: tuple[int, int] = (10, 21)) -> np.ndarray:
     """integral of |f|^q w over each shell edges[i] < |x| < edges[i+1].
 
     Each shell is clipped to f.support and skipped when that leaves it
-    empty.  A separable f is a radial integral per shell (under the rule
-    pair ``orders``) times one sphere factor: the bounded shells with a
-    positive lower edge go through one ``integrate_intervals`` solve, the
-    shells from 0 and out to infinity (which need the endpoint expansion)
-    one ``integrate_interval`` each.  Any other f is a region integral per
-    shell.  Both declare |f|^q w ~ r^{q e + gamma} at 0 and infinity, e
-    being f's radial exponent there.
+    empty; the others are one solve.  A separable f is a radial integral
+    per shell, all in one ``integrate_intervals`` call under the rule pair
+    ``orders``, times one sphere factor; any other f is one
+    ``integrate_shells`` call.  Both declare |f|^q w ~ r^{q e + gamma} at 0
+    and infinity, e being f's radial exponent there.
     """
-    align = _jump_radii(f)
+    align = f.cut_radii
     edges = np.asarray(edges, dtype=float)
     slo, shi = f.support
     lo, hi = np.maximum(edges[:-1], slo), np.minimum(edges[1:], shi)
-    out = np.zeros(len(lo))
-    single = hi > lo  # the shells left to the per-shell path
-    if f.separable:
-        sphere = _sphere_factor(f, q, w, tol)
-        expo = w.gamma + f.dim - 1
-
-        def radial(r):
-            r = np.asarray(r, dtype=float)
-            return np.abs(f.radial_values(r)) ** q * r ** expo
-
-        batch = single & (lo > 0.0) & (hi < math.inf)
-        single &= ~batch
-        if np.any(batch):
-            cuts = np.tile(align, (np.count_nonzero(batch), 1)) if align else None
-            out[batch] = integrate_intervals(lambda r, i: radial(r), lo[batch], hi[batch], tol,
-                                             align=cuts, orders=orders) * sphere
-
-        def shell(lo, hi, e0, einf):
-            return integrate_interval(radial, lo, hi, tol, exponent_at_zero=e0, exponent_at_infinity=einf,
-                                      orders=orders, align=align).value * sphere
-    else:
-        expo = w.gamma  # integrate_region adds the r^{n-1} of polar coordinates
-
-        def point(x):
-            return np.abs(f(x)) ** q * w(x)
-
-        def shell(lo, hi, e0, einf):
-            return integrate_region(f.dim, point, Shell(lo, hi), tol, radial_exponent_at_zero=e0,
-                                    radial_exponent_at_infinity=einf, align=align).value
+    live = hi > lo
+    lo, hi = lo[live], hi[live]
+    out = np.zeros(len(live))
+    expo = w.gamma + f.dim - 1 if f.separable else w.gamma  # integrate_shells adds the r^{n-1} itself
 
     def declared(e, end: str):  # q e + expo, +-inf when f vanishes near that end
         if e is None:
             raise ValueError(f"test function {f.name!r} needs a radial exponent at {end} for integrals reaching it")
         return q * e + expo
 
-    for i in np.flatnonzero(single):
-        a, b = float(lo[i]), float(hi[i])
-        out[i] = shell(a, b,
-                       declared(f.radial_exponent_at_zero, "0") if a == 0.0 else None,
-                       declared(f.radial_exponent_at_infinity, "infinity") if math.isinf(b) else None)
+    e0 = declared(f.radial_exponent_at_zero, "0") if (lo == 0.0).any() else None
+    einf = declared(f.radial_exponent_at_infinity, "infinity") if np.isinf(hi).any() else None
+    if f.separable:
+        def radial(r, i):
+            return np.abs(f.radial_values(r)) ** q * r ** expo
+
+        cuts = np.tile(align, (len(lo), 1)) if align else None
+        radial_integrals = integrate_intervals(radial, lo, hi, tol, e0, einf, orders, cuts).value
+        out[live] = radial_integrals * _sphere_factor(f, q, w, tol)
+    else:
+        out[live] = integrate_shells(f.dim, lambda x: np.abs(f(x)) ** q * w(x), lo, hi, tol, e0, einf, align).value
     return out
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -269,3 +270,61 @@ def test_batched_hardy_bump_closed_form(n, shift, lo, ratio, radii):
     sf = 2.0 if n == 1 else 2.0 * math.pi
     want = np.where(r > lo, sf * r ** -n * (np.minimum(r, hi) ** (n + a) - lo ** (n + a)) / (n + a), 0.0)
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+
+
+def test_nested_commutator_apply_keeps_memory_small():
+    # a general input expands every t-node over the 1024 circle nodes of
+    # level 6; a breadth-first level holds hundreds of t-nodes at once
+    n, e, beta, r = 2, 0.3, 0.5, 1.3
+    op = HausdorffOperator(kernel_presets("hardy", n), AngularProfile.constant(1.0, n), n)
+    cop = CommutatorOperator(op, lipschitz_presets("power", beta, n))
+    tracemalloc.start()
+    try:
+        value = cop.apply(power_function(n, e), [r, 0.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    # b(x) H f - H(b f) for f = |x|^e, b = |x|^beta
+    want = 2.0 * math.pi * r ** (e + beta) * (1.0 / (n + e) - 1.0 / (n + e + beta))
+    assert value == pytest.approx(want, rel=1e-7)
+
+
+_RADII = st.lists(st.floats(min_value=0.05, max_value=40.0), min_size=1, max_size=12)
+
+
+def _matches_closed_form_and_scalar_calls(op, f, radii, want):
+    got = op.radial_apply(f, radii, tol=1e-10)
+    np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-10)
+    for r, value in zip(radii, got):
+        assert op.radial_apply(f, float(r), tol=1e-10) == value  # bit for bit
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([1, 2]), st.booleans(), st.floats(min_value=0.05, max_value=0.95), _RADII)
+def test_batched_image_of_powers_matches_mellin_closed_form(n, adjoint, shape, radii):
+    # T|x|^e = sf r^e int Phi(t) t^(-1-e) dt: 1/(n + e) for Hardy (e > -n),
+    # -1/e for adjoint Hardy (e < 0); an unbounded input takes the t-path
+    e = -n + shape * (n + 1.5) if not adjoint else -2.0 * shape
+    kernel = kernel_presets("adjoint_hardy") if adjoint else kernel_presets("hardy", n)
+    op = HausdorffOperator(kernel, AngularProfile.constant(1.0, n), n)
+    r = np.array(radii)
+    sf = 2.0 if n == 1 else 2.0 * math.pi
+    _matches_closed_form_and_scalar_calls(op, power_function(n, e), r,
+                                          sf * r ** e * (-1.0 / e if adjoint else 1.0 / (n + e)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([1, 2]), st.booleans(), st.floats(min_value=0.1, max_value=8.0), _RADII)
+def test_batched_image_of_ball_indicators_matches_closed_form(n, adjoint, b, radii):
+    # f = 1 on (0, b]: Hardy's s-domain (0, min(r, b)) reaches 0, giving
+    # sf min(r, b)^n / (n r^n); adjoint Hardy gives sf ln(b / r) for r < b
+    kernel = kernel_presets("adjoint_hardy") if adjoint else kernel_presets("hardy", n)
+    op = HausdorffOperator(kernel, AngularProfile.constant(1.0, n), n)
+    r = np.array(radii)
+    sf = 2.0 if n == 1 else 2.0 * math.pi
+    if adjoint:
+        want = sf * np.log(np.maximum(b / r, 1.0))
+    else:
+        want = sf * np.minimum(r, b) ** n / (n * r ** n)
+    _matches_closed_form_and_scalar_calls(op, indicator_shell(n, 0.0, b), r, want)

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,8 @@ from rough_hausdorff.quadrature import (
     Shell,
     ToleranceNotMetError,
     _BLOCK_PANELS,
-    _panel,
+    _judge,
+    _pair,
     _panels_breadth_first,
     integrate_interval,
     integrate_intervals,
@@ -126,6 +128,26 @@ def _jumpy(c):
     return g
 
 
+def _panel(g, a: float, b: float, tol: float, depth: int = 0,
+           orders: tuple[int, int] = (10, 21)) -> tuple[float, float]:
+    """Adaptive Gauss-Legendre on [a, b]; returns (value, error estimate).
+
+    Bisection only triggers on disagreement between the low- and high-order
+    rules, i.e. effectively at interior non-smooth points.
+    """
+    pair = _pair(orders)
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    ghi = np.asarray(g(mid + half * pair[2]), dtype=float)
+    glo = np.asarray(g(mid + half * pair[0]), dtype=float)
+    vhi, err, accepted = _judge(glo, ghi, half, tol, depth, pair)
+    if accepted:
+        return vhi, err
+    lv, le = _panel(g, a, mid, 0.5 * tol, depth + 1, orders)
+    rv, re = _panel(g, mid, b, 0.5 * tol, depth + 1, orders)
+    return lv + rv, le + re
+
+
 class _Counted:
     """An integrand that counts the points it is evaluated at."""
 
@@ -179,19 +201,65 @@ def test_intervals_match_interval_with_cuts_and_jumps():
     align = np.array([[1.7, math.inf], [1.0, 1.2], [0.8, -1.0], [1.0, 2.0]])
     cs = align[:, 0]
     for orders in ((10, 21), (6, 13)):
-        values = integrate_intervals(lambda x, i: _jumpy(cs[i])(x), a, b, 1e-11, align=align, orders=orders)
+        values = integrate_intervals(lambda x, i: _jumpy(cs[i])(x), a, b, 1e-11, align=align, orders=orders).value
         for i in range(4):
             cuts = tuple(c for c in align[i] if math.isfinite(c))
             ref = integrate_interval(_jumpy(cs[i]), a[i], b[i], 1e-11, orders=orders, align=cuts).value
             assert values[i] == pytest.approx(ref, rel=1e-14)
 
 
-def test_intervals_reject_unbounded_or_empty():
+def test_intervals_reject_reversed_empty_or_nan():
     g = lambda x, i: np.ones_like(x)
-    assert integrate_intervals(g, np.zeros(0), np.zeros(0), 1e-9).shape == (0,)
-    for a, b in (([0.0], [1.0]), ([1.0], [math.inf]), ([2.0], [1.0])):
+    assert integrate_intervals(g, np.zeros(0), np.zeros(0), 1e-9).value.shape == (0,)
+    for a, b in (([2.0], [1.0]), ([1.0], [1.0]), ([-1.0], [1.0]), ([math.nan], [1.0]), ([1.0], [math.nan])):
         with pytest.raises(ValueError):
             integrate_intervals(g, np.array(a), np.array(b), 1e-9)
+
+
+def _glued(x):
+    # x^0.5 on (0, 1] glued to x^-3 beyond: exponents 0.5 at 0 and -3 at infinity
+    x = np.asarray(x, dtype=float)
+    return np.where(x <= 1.0, np.sqrt(x), np.minimum(x, 1.0) / x ** 3)
+
+
+def _glued_integral(a: float, b: float) -> float:
+    def upto(x):
+        return x ** 1.5 / 1.5 if x <= 1.0 else 1.0 / 1.5 + 0.5 * (1.0 - x ** -2.0)
+
+    return upto(b) - upto(a)
+
+
+def test_intervals_mix_rows_reaching_zero_and_infinity():
+    a = np.array([0.0, 3.0, 0.0, 0.25, 0.0, 1.5, 2.0 ** -20])
+    b = np.array([0.7, math.inf, math.inf, 6.0, 2.0, 1.75, 2.0 ** 20])
+    scale = 1.0 + np.arange(len(a))
+    tol = 1e-11
+    res = integrate_intervals(lambda x, i: scale[i] * _glued(x), a, b, tol, 0.5, -3.0)
+    want = scale * np.array([_glued_integral(lo, hi) for lo, hi in zip(a, b)])
+    np.testing.assert_allclose(res.value, want, rtol=1e-10, atol=0.0)
+    assert np.all(res.abs_error_estimate + res.tail_bound <= np.maximum(tol, 1e-12 * np.abs(res.value)))
+    reaches = (a == 0.0) | np.isinf(b)
+    assert np.all(res.tail_bound[reaches] > 0.0) and np.all(res.tail_bound[~reaches] == 0.0)
+    for i in range(len(a)):
+        one = integrate_interval(lambda x: scale[i] * _glued(x), a[i], b[i], tol, 0.5, -3.0)
+        row = (res.value[i], res.abs_error_estimate[i], res.tail_bound[i])
+        assert (one.value, one.abs_error_estimate, one.tail_bound) == row
+
+
+def test_runaway_refinement_stops_at_the_panel_budget():
+    # next to an integrable singularity the halved child tolerances outrun the
+    # panel errors: without a budget one level grows to millions of panels
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ToleranceNotMetError):
+            integrate_interval(lambda x: np.abs(x - 1.2) ** -0.9, 1.01, 1.51, 1e-11)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 2.0
+    assert peak < 64e6
 
 
 def test_intervals_cut_at_powers_of_two_in_one_integrand_call():
@@ -201,7 +269,7 @@ def test_intervals_cut_at_powers_of_two_in_one_integrand_call():
         seen.append((len(x), sorted(set(i.tolist()))))
         return np.ones_like(x)
 
-    values = integrate_intervals(g, np.array([1.0, 0.75]), np.array([8.0, 1.5]), 1e-9)
+    values = integrate_intervals(g, np.array([1.0, 0.75]), np.array([8.0, 1.5]), 1e-9).value
     # cuts 1, 2, 4, 8 and 0.75, 1, 1.5: five panels of 31 nodes, accepted at once
     assert seen == [(5 * 31, [0, 1])]
     np.testing.assert_allclose(values, [7.0, 0.75], rtol=1e-14)
@@ -220,12 +288,12 @@ def test_intervals_in_blocks_match_one_call_per_block():
         blocks.append((i.min(), i.max()))
         return _jumpy(cs[i])(x)
 
-    values = integrate_intervals(g, a, b, 1e-11)
+    values = integrate_intervals(g, a, b, 1e-11).value
     assert {lo // _BLOCK_PANELS for lo, hi in blocks} == {0, 1, 2}
     assert all(lo // _BLOCK_PANELS == hi // _BLOCK_PANELS for lo, hi in blocks)
     for start in range(0, count, _BLOCK_PANELS):
         part = slice(start, start + _BLOCK_PANELS)
-        alone = integrate_intervals(lambda x, i: _jumpy(cs[part][i])(x), a[part], b[part], 1e-11)
+        alone = integrate_intervals(lambda x, i: _jumpy(cs[part][i])(x), a[part], b[part], 1e-11).value
         assert np.array_equal(values[part], alone)
 
     # one integral of the second block cancels to 0 from terms of size 1e9:
@@ -248,7 +316,7 @@ def test_intervals_memory_stays_bounded_in_blocks():
     b = 2.0 ** 10 * (1.0 - 0.5 * np.arange(count) / count)
     tracemalloc.start()
     try:
-        values = integrate_intervals(lambda x, i: 1.0 / x, a, b, 1e-9)
+        values = integrate_intervals(lambda x, i: 1.0 / x, a, b, 1e-9).value
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

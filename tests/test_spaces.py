@@ -262,14 +262,14 @@ def test_general_path_cuts_panels_at_support_edges(n, norm):
 
 def test_general_path_skips_shells_outside_the_support(monkeypatch):
     # only the annulus k = 1 meets the support (1, 2] of the 49 in the window
-    calls = []
-    region = spaces.integrate_region
+    calls = []  # one entry per shell solved
+    shells = spaces.integrate_shells
 
     def counted(*args, **kwargs):
-        calls.append(args[2])
-        return region(*args, **kwargs)
+        calls.extend(args[2])
+        return shells(*args, **kwargs)
 
-    monkeypatch.setattr(spaces, "integrate_region", counted)
+    monkeypatch.setattr(spaces, "integrate_shells", counted)
     w = Weight.power(0.3, 1)
     res = herz_norm(_general_shell(1, 0.5, 1.0, 2.0), 0.2, 2.0, 1.5, w, window=(-24, 24))
     assert len(calls) <= 1
@@ -311,7 +311,7 @@ def test_batched_shells_match_per_shell_integrals(f, edges, orders):
         e0 = q * 0.5 + W_TILT2.gamma + 1 if lo == 0.0 else None
         einf = q * -3.0 + W_TILT2.gamma + 1 if math.isinf(hi) else None
         ref = integrate_interval(radial, lo, hi, tol, exponent_at_zero=e0, exponent_at_infinity=einf,
-                                 orders=orders, align=spaces._jump_radii(f)).value * sphere
+                                 orders=orders, align=f.cut_radii).value * sphere
         assert batched[i] == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
