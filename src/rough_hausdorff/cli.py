@@ -2,9 +2,11 @@
 
 Kernel, sphere-symbol and weight specs go through the config registry of
 ``harness``.  Exit codes: 2 from any subcommand on a malformed spec or
-configuration; ``verify`` otherwise gives 0 when every row is PASS /
-SKIPPED / DIVERGENT-AS-PREDICTED and 1 on any FAIL or ERROR (a case whose
-numerics raised).
+configuration, and from ``apply``, ``norm`` and ``constant`` on any value
+their numerics reject with ValueError (a range rule of ``spaces._KINDS``,
+a missing radial exponent, x = 0); ``verify`` otherwise gives 0 when every
+row is PASS / SKIPPED / DIVERGENT-AS-PREDICTED and 1 on any FAIL or ERROR
+(a case whose numerics raised).
 """
 
 from __future__ import annotations
@@ -144,58 +146,62 @@ def main(argv=None) -> int:
         return 2
 
 
+def _apply(args) -> list:
+    f = _parse_test_function(args)
+    op = HausdorffOperator(_cli_kernel(args.phi), _cli_omega(args), args.n)
+    if args.commutator_beta is not None:
+        op = CommutatorOperator(op, lipschitz_presets("power", args.commutator_beta, args.n))
+    out = []
+    for tok in args.x.split(","):
+        r = float(tok)
+        x = np.zeros(args.n)
+        x[0] = r
+        out.append({"x": r, "value": op.apply(f, x, args.tol)})
+    return out
+
+
+def _norm(args) -> dict:
+    f = _parse_test_function(args)
+    w1 = _cli_weight(args)
+    w2 = None
+    if args.space.startswith("TwoWeight"):
+        g2 = args.gamma2 if args.gamma2 is not None else args.gamma
+        w2 = _build_weight({"gamma": g2, "dim": args.n})
+    spec = SpaceSpec(kind=args.space, p=args.p, q=args.q, alpha=args.alpha, lam=args.lam, w1=w1, w2=w2)
+    return spec.evaluate(f, window=tuple(args.window)).to_json()
+
+
+def _constant(args) -> dict:
+    missing = [name for name in _CONSTANT_FLAGS[args.id] if getattr(args, name) is None]
+    if missing:
+        raise ConfigError(f"{args.id} needs " + ", ".join(
+            "--lambda" if name == "lam" else f"--{name}" for name in missing))
+    phi = _cli_kernel(args.phi)
+    if args.id == "c1":
+        bc = bmod.c1(phi, args.n, args.gamma, args.lam)
+    elif args.id == "c2":
+        bc = bmod.c2(phi, args.n, args.gamma, args.q, alpha=args.alpha)
+    elif args.id == "c3":
+        bc = bmod.c3(phi, args.n, args.gamma, args.q, args.lam, args.alpha)
+    elif args.id == "c4":
+        bc = bmod.c4(phi, args.n, args.gamma, args.p, args.lambda1, args.beta, lam=args.lam)
+    else:
+        bc = bmod.c5(phi, args.n, args.gamma, args.q, args.alpha1, args.beta,
+                     args.variant, lam=args.lam, alpha2=args.alpha2)
+    return bc.to_json()
+
+
+_EVALUATE = {"apply": _apply, "norm": _norm, "constant": _constant}
+
+
 def _run(args) -> int:
-    if args.command == "apply":
-        f = _parse_test_function(args)
-        op = HausdorffOperator(_cli_kernel(args.phi), _cli_omega(args), args.n)
-        if args.commutator_beta is not None:
-            op = CommutatorOperator(op, lipschitz_presets("power", args.commutator_beta, args.n))
-        out = []
-        for tok in args.x.split(","):
-            r = float(tok)
-            x = np.zeros(args.n)
-            x[0] = r
-            out.append({"x": r, "value": op.apply(f, x, args.tol)})
-        print(json.dumps(out, indent=2))
-        return 0
-
-    if args.command == "norm":
-        f = _parse_test_function(args)
-        w1 = _cli_weight(args)
-        w2 = None
-        if args.space.startswith("TwoWeight"):
-            g2 = args.gamma2 if args.gamma2 is not None else args.gamma
-            w2 = _build_weight({"gamma": g2, "dim": args.n})
+    if args.command in _EVALUATE:
+        # a divergence (an ArithmeticError) is a result, not a config error
         try:
-            spec = SpaceSpec(kind=args.space, p=args.p, q=args.q, alpha=args.alpha,
-                             lam=args.lam, w1=w1, w2=w2)
+            out = _EVALUATE[args.command](args)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        res = spec.evaluate(f, window=tuple(args.window))
-        print(json.dumps(res.to_json(), indent=2))
-        return 0
-
-    if args.command == "constant":
-        missing = [name for name in _CONSTANT_FLAGS[args.id] if getattr(args, name) is None]
-        if missing:
-            raise ConfigError(f"{args.id} needs " + ", ".join(
-                "--lambda" if name == "lam" else f"--{name}" for name in missing))
-        phi = _cli_kernel(args.phi)
-        try:  # the constants' hypothesis and consistency checks raise ValueError
-            if args.id == "c1":
-                bc = bmod.c1(phi, args.n, args.gamma, args.lam)
-            elif args.id == "c2":
-                bc = bmod.c2(phi, args.n, args.gamma, args.q, alpha=args.alpha)
-            elif args.id == "c3":
-                bc = bmod.c3(phi, args.n, args.gamma, args.q, args.lam, args.alpha)
-            elif args.id == "c4":
-                bc = bmod.c4(phi, args.n, args.gamma, args.p, args.lambda1, args.beta, lam=args.lam)
-            else:
-                bc = bmod.c5(phi, args.n, args.gamma, args.q, args.alpha1, args.beta,
-                             args.variant, lam=args.lam, alpha2=args.alpha2)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        print(json.dumps(bc.to_json(), indent=2))
+        print(json.dumps(out, indent=2))
         return 0
 
     if args.command == "verify":

@@ -615,8 +615,10 @@ def _constant_for(case: TheoremCase) -> bmod.BoundConstant:
     return _spec(case.theorem).constant(case.kernel, case.w1.dim, case.w1.gamma, case.params)
 
 
-def _omega_conjugate(theorem: str, params: dict) -> float:
-    return conjugate(params[_spec(theorem).omega_exponent])
+def _omega_conjugate(theorem: str, params: dict) -> Optional[float]:
+    """r' for the exponent r that measures Omega; None when r <= 1, as r' = inf is out of scope."""
+    r = params[_spec(theorem).omega_exponent]
+    return conjugate(r) if r > 1.0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -711,7 +713,8 @@ def _case_from_config(entry: dict, registries: dict, window: tuple[int, int]) ->
         corpus: list[TestFunction] = []
         if entry.get("corpus") == "default" and omega is not None and w1 is not None:
             rprime = _omega_conjugate(theorem, params)
-            corpus = default_corpus(w1.dim, omega, rprime, int(entry.get("corpus_size", 20)))
+            if rprime is not None:  # otherwise run_case skips the case
+                corpus = default_corpus(w1.dim, omega, rprime, int(entry.get("corpus_size", 20)))
         return TheoremCase(
             id=entry["id"],
             theorem=theorem,
@@ -751,6 +754,10 @@ def run_case(case: TheoremCase, tol_rel: float) -> list[ReportRow]:
     reason = validate_case(case)
     if reason is not None:
         return [ReportRow(case.id, "hypotheses", "", "", "", SKIPPED, reason)]
+    if _omega_conjugate(case.theorem, case.params) is None:
+        r = _spec(case.theorem).omega_exponent
+        return [ReportRow(case.id, "scope", "", "", "", SKIPPED,
+                          f"Omega's exponent {r}' = inf ({r} = 1) is out of scope")]
 
     if case.expect == "divergent":
         constant = _constant_for(case)

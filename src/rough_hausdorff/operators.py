@@ -159,22 +159,18 @@ class HausdorffOperator:
         return float(self._t_integral(integrand, f, np.array([r]), tol / 3.0)[0])
 
     def image(self, f: TestFunction, tol: float = 1e-9) -> TestFunction:
-        """The output as a radial TestFunction with memoized profile."""
+        """The output as a radial TestFunction whose profile solves each batch
+        of positive radii in one ``radial_apply`` call (0 at r = 0)."""
         if not f.separable:
             raise ValueError("image construction requires separable input")
-        memo: dict[float, float] = {}
 
         def profile(r_batch):
-            keys = np.atleast_1d(np.asarray(r_batch, dtype=float)).tolist()
-            misses = [key for key in dict.fromkeys(keys) if key not in memo]
-            if misses:
-                radii = np.array(misses)
-                vals = np.zeros(radii.shape)
-                pos = radii > 0
-                if np.any(pos):
-                    vals[pos] = self.radial_apply(f, radii[pos], tol)
-                memo.update(zip(misses, vals.tolist()))
-            return np.array([memo[key] for key in keys])
+            radii = np.atleast_1d(np.asarray(r_batch, dtype=float))
+            vals = np.zeros(radii.shape)
+            pos = radii > 0
+            if np.any(pos):
+                vals[pos] = self.radial_apply(f, radii[pos], tol)
+            return vals
 
         phi = self.phi
         fl, fh = f.support

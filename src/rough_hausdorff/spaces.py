@@ -21,8 +21,13 @@ Conventions shared by every evaluator:
     per panel-tree level).  Any other function is one ``integrate_shells``
     solve.
 
-q < 1 is rejected: the shell norms would only be quasi-norms and every
-boundedness statement exercised here assumes q >= 1.
+Every kind is one ``_Kind`` entry of ``_KINDS``: the parameters it takes
+(in its norm function's argument order), its range rules and its norm
+function.  ``SpaceSpec`` checks the rules when it is built and the seven
+public norm functions check the same rules when called, so each rule is
+written once.  q < 1 is rejected: the shell norms would only be
+quasi-norms and every boundedness statement exercised here assumes q >= 1.
+Every shell integral runs at the one tolerance ``NORM_TOL``.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from .weights import Weight, ball_mass
 
 DEFAULT_WINDOW = (-24, 24)
 GRID_PER_OCTAVE = 4
+NORM_TOL = 1e-11
 
 
 class NormDivergentError(ArithmeticError):
@@ -74,11 +80,6 @@ class NormResult:
             "tail_bound": self.tail_bound,
             "attained_at": self.attained_at,
         }
-
-
-def _require_q(q: float) -> None:
-    if q < 1:
-        raise ValueError("q < 1 (quasi-norm) is not supported")
 
 
 def _sphere_factor(f: TestFunction, q: float, w: Weight, tol: float) -> float:
@@ -129,38 +130,32 @@ def _shell_integrals(f: TestFunction, q: float, w: Weight, edges, tol: float,
     return out
 
 
-def chunk_lq_norm(f: TestFunction, q: float, w: Weight, k: int, tol: float = 1e-11) -> float:
-    """Shell norm || f chi_k ||_{q, w} over the dyadic annulus C_k."""
-    return lq_norm(f, q, w, Annulus(k), tol)
-
-
 def lq_norm(
     f: TestFunction,
     q: float,
     w: Weight,
     region="all",
-    tol: float = 1e-11,
     window: tuple[int, int] = DEFAULT_WINDOW,
 ) -> float:
     """Weighted L^q norm over a region ('all', Ball, Annulus or Shell)."""
-    _require_q(q)
+    _check("Lq", q)
     if isinstance(region, (Ball, Annulus, Shell)):
-        return float(_shell_integrals(f, q, w, _radial_bounds(region), tol)[0]) ** (1.0 / q)
+        return float(_shell_integrals(f, q, w, _radial_bounds(region), NORM_TOL)[0]) ** (1.0 / q)
     if region != "all":
         raise ValueError(f"unknown region {region!r}")
 
-    chunks = _chunk_table(f, q, w, window, tol)
-    total, tail, diverged, why = _sum_with_tails(chunks ** q, window)
+    chunks = _chunk_table(f, q, w, window)
+    total, tail, diverged, why = _sum_with_tails(chunks ** q)
     if diverged:
         partial = NormResult(total ** (1.0 / q), window[0], window[1], math.inf, None, True)
         raise NormDivergentError(f"L^{q} norm diverges: {why}", partial)
     return total ** (1.0 / q)
 
 
-def _chunk_table(f: TestFunction, q: float, w: Weight, window: tuple[int, int], tol: float) -> np.ndarray:
+def _chunk_table(f: TestFunction, q: float, w: Weight, window: tuple[int, int]) -> np.ndarray:
     """Shell norms || f chi_k ||_{q, w} for k_min <= k <= k_max."""
     k_min, k_max = window
-    return _shell_integrals(f, q, w, 2.0 ** np.arange(k_min - 1, k_max + 1), tol) ** (1.0 / q)
+    return _shell_integrals(f, q, w, 2.0 ** np.arange(k_min - 1, k_max + 1), NORM_TOL) ** (1.0 / q)
 
 
 def _side_tail(terms: np.ndarray, side: str) -> tuple[float, bool, str]:
@@ -189,7 +184,7 @@ def _side_tail(terms: np.ndarray, side: str) -> tuple[float, bool, str]:
     return b * rho / (1.0 - rho), False, ""
 
 
-def _sum_with_tails(terms: np.ndarray, window: tuple[int, int]) -> tuple[float, float, bool, str]:
+def _sum_with_tails(terms: np.ndarray) -> tuple[float, float, bool, str]:
     total = float(terms.sum())
     tail_r, div_r, why_r = _side_tail(terms, "right")
     tail_l, div_l, why_l = _side_tail(terms, "left")
@@ -209,6 +204,25 @@ def _power_sum_norm(total: float, tail: float, p: float) -> tuple[float, float]:
 # Herz-type sums
 # ---------------------------------------------------------------------------
 
+def _log2_ball_power(w: Weight, s: float, n: int) -> Callable[[int], float]:
+    """k -> log2 of w(B(0, 2^k))^{s/n}."""
+    return lambda k: (s / n) * math.log2(ball_mass(w, 2.0 ** k))
+
+
+def _terms(
+    f: TestFunction,
+    q: float,
+    w_chunk: Weight,
+    log2_weight: Callable[[int], float],
+    p: float,
+    window: tuple[int, int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The window's k and its terms tau_k = 2^{p log2_weight(k)} ||f chi_k||_{q, w_chunk}^p."""
+    ks = np.arange(window[0], window[1] + 1)
+    chunks = _chunk_table(f, q, w_chunk, window)
+    return ks, np.array([2.0 ** (p * log2_weight(int(k))) for k in ks]) * chunks ** p
+
+
 def _herz_engine(
     f: TestFunction,
     q: float,
@@ -216,20 +230,13 @@ def _herz_engine(
     log2_weight: Callable[[int], float],
     p: float,
     window: tuple[int, int],
-    tol: float,
     strict: bool,
 ) -> NormResult:
-    """Shared sum machinery: terms tau_k = 2^{p log2_weight(k)} chunk_k^p."""
-    _require_q(q)
-    if p <= 0:
-        raise ValueError("p must be positive")
-    k_min, k_max = window
-    chunks = _chunk_table(f, q, w_chunk, window, tol)
-    ks = np.arange(k_min, k_max + 1)
-    tau = np.array([2.0 ** (p * log2_weight(int(k))) for k in ks]) * chunks ** p
-    total, tail, diverged, why = _sum_with_tails(tau, window)
+    """(sum_k tau_k)^{1/p} over the terms of ``_terms``."""
+    _, tau = _terms(f, q, w_chunk, log2_weight, p, window)
+    total, tail, diverged, why = _sum_with_tails(tau)
     value, norm_tail = _power_sum_norm(total, tail, p)
-    result = NormResult(value, k_min, k_max, norm_tail, None, diverged)
+    result = NormResult(value, window[0], window[1], norm_tail, None, diverged)
     if diverged and strict:
         raise NormDivergentError(f"Herz-type sum diverges: {why}", result)
     return result
@@ -242,11 +249,11 @@ def herz_norm(
     q: float,
     w: Weight,
     window: tuple[int, int] = DEFAULT_WINDOW,
-    tol: float = 1e-11,
     strict: bool = True,
 ) -> NormResult:
     """Weighted Herz norm (sum_k 2^{k alpha p} ||f chi_k||_{q,w}^p)^{1/p}."""
-    return _herz_engine(f, q, w, lambda k: alpha * k, p, window, tol, strict)
+    _check("Herz", alpha, p, q)
+    return _herz_engine(f, q, w, lambda k: alpha * k, p, window, strict)
 
 
 def two_weight_herz_norm(
@@ -257,16 +264,11 @@ def two_weight_herz_norm(
     w1: Weight,
     w2: Weight,
     window: tuple[int, int] = DEFAULT_WINDOW,
-    tol: float = 1e-11,
     strict: bool = True,
 ) -> NormResult:
     """(sum_k w1(B_k)^{alpha p / n} ||f chi_k||_{q, w2}^p)^{1/p}."""
-    n = f.dim
-
-    def lw(k: int) -> float:
-        return (alpha / n) * math.log2(ball_mass(w1, 2.0 ** k))
-
-    return _herz_engine(f, q, w2, lw, p, window, tol, strict)
+    _check("TwoWeightHerz", alpha, p, q)
+    return _herz_engine(f, q, w2, _log2_ball_power(w1, alpha, f.dim), p, window, strict)
 
 
 def _morrey_herz_engine(
@@ -278,7 +280,6 @@ def _morrey_herz_engine(
     p: float,
     lam_slope: float,
     window: tuple[int, int],
-    tol: float,
     strict: bool,
 ) -> NormResult:
     """sup over k0 of 2^{log2_prefactor(k0)} (sum_{k<=k0} tau_k)^{1/p}.
@@ -291,13 +292,8 @@ def _morrey_herz_engine(
     log2-slope beyond the edge is g/p - lam_slope with g the term growth
     rate, divergent when positive.
     """
-    _require_q(q)
-    if p <= 0:
-        raise ValueError("p must be positive")
     k_min, k_max = window
-    chunks = _chunk_table(f, q, w_chunk, window, tol)
-    ks = np.arange(k_min, k_max + 1)
-    tau = np.array([2.0 ** (p * log2_weight(int(k))) for k in ks]) * chunks ** p
+    ks, tau = _terms(f, q, w_chunk, log2_weight, p, window)
     prefix = np.cumsum(tau)
     prefac = np.array([2.0 ** log2_prefactor(int(k)) for k in ks])
     sup_vals = prefac * prefix ** (1.0 / p)
@@ -379,15 +375,11 @@ def morrey_herz_norm(
     q: float,
     w: Weight,
     window: tuple[int, int] = DEFAULT_WINDOW,
-    tol: float = 1e-11,
     strict: bool = True,
 ) -> NormResult:
     """sup_{k0} 2^{-k0 lam} (sum_{k<=k0} 2^{k alpha p} ||f chi_k||_{q,w}^p)^{1/p}."""
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    return _morrey_herz_engine(
-        f, q, w, lambda k: alpha * k, lambda k0: -lam * k0, p, lam, window, tol, strict
-    )
+    _check("MorreyHerz", alpha, lam, p, q)
+    return _morrey_herz_engine(f, q, w, lambda k: alpha * k, lambda k0: -lam * k0, p, lam, window, strict)
 
 
 def two_weight_morrey_herz_norm(
@@ -399,63 +391,43 @@ def two_weight_morrey_herz_norm(
     w1: Weight,
     w2: Weight,
     window: tuple[int, int] = DEFAULT_WINDOW,
-    tol: float = 1e-11,
     strict: bool = True,
 ) -> NormResult:
     """sup_{k0} w1(B_{k0})^{-lam/n} (sum_{k<=k0} w1(B_k)^{alpha p/n} ||f chi_k||_{q,w2}^p)^{1/p}."""
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
+    _check("TwoWeightMorreyHerz", alpha, lam, p, q)
     n = f.dim
-
-    def lw(k: int) -> float:
-        return (alpha / n) * math.log2(ball_mass(w1, 2.0 ** k))
-
-    def pre(k0: int) -> float:
-        return (-lam / n) * math.log2(ball_mass(w1, 2.0 ** k0))
-
     lam_slope = lam * (n + w1.gamma) / n
-    return _morrey_herz_engine(f, q, w2, lw, pre, p, lam_slope, window, tol, strict)
+    return _morrey_herz_engine(f, q, w2, _log2_ball_power(w1, alpha, n), _log2_ball_power(w1, -lam, n),
+                               p, lam_slope, window, strict)
 
 
 # ---------------------------------------------------------------------------
 # Morrey-type suprema over continuous radii
 # ---------------------------------------------------------------------------
 
-def _cumulative_ball_integrals(
-    f: TestFunction,
-    p: float,
-    w: Weight,
-    radii: np.ndarray,
-    tol: float,
-) -> np.ndarray:
-    """integral of |f|^p w over B(0, R) for each R in the increasing grid."""
-    return np.cumsum(_shell_integrals(f, p, w, np.concatenate(([0.0], radii)), tol, orders=(6, 13)))
-
-
 def _morrey_sup(
     f: TestFunction,
     p: float,
     w_int: Weight,
-    log_normalizer: Callable[[float], float],
+    w_mass: Weight,
+    expo: float,
     window: tuple[int, int],
-    tol: float,
     strict: bool,
     label: str,
 ) -> NormResult:
     """sup over the grid radii R = 2^(j/4) in the window of
-    (exp(log_normalizer(R)) * integral_{B_R} |f|^p w_int)^{1/p}.
+    (w_mass(B_R)^{-expo} * integral_{B_R} |f|^p w_int)^{1/p}.
 
-    log_normalizer(R) is ln of the mass normalization that multiplies the
-    ball integral, such as -(1 + lam p) ln w(B_R) for the central Morrey
-    norm.  A supremand that peaks at a window edge and still climbs over
-    the three grid radii there makes the norm divergent.
+    A supremand that peaks at a window edge and still climbs over the three
+    grid radii there makes the norm divergent.
     """
     k_min, k_max = window
     js = np.arange(GRID_PER_OCTAVE * k_min, GRID_PER_OCTAVE * k_max + 1)
     radii = 2.0 ** (js / GRID_PER_OCTAVE)
-    cum = _cumulative_ball_integrals(f, p, w_int, radii, tol)
+    # integral of |f|^p w_int over B(0, R) for each grid radius R
+    cum = np.cumsum(_shell_integrals(f, p, w_int, np.concatenate(([0.0], radii)), NORM_TOL, orders=(6, 13)))
     with np.errstate(divide="ignore"):
-        lognorm = np.array([log_normalizer(float(R)) for R in radii])
+        lognorm = np.array([-expo * math.log(ball_mass(w_mass, float(R))) for R in radii])
         vals = np.where(cum > 0.0, np.exp((np.log(np.where(cum > 0, cum, 1.0)) + lognorm) / p), 0.0)
     idx = int(np.argmax(vals))
     value = float(vals[idx])
@@ -480,20 +452,11 @@ def central_morrey_norm(
     lam: float,
     w: Weight,
     window: tuple[int, int] = DEFAULT_WINDOW,
-    tol: float = 1e-11,
     strict: bool = True,
 ) -> NormResult:
     """sup_R ( w(B_R)^{-(1+lam p)} integral_{B_R} |f|^p w )^{1/p}."""
-    if p < 1:
-        raise ValueError("central Morrey norm requires p >= 1")
-    if 1.0 + lam * p <= 0:
-        raise ValueError("requires 1 + lambda p > 0")
-    expo = 1.0 + lam * p
-
-    def lognorm(R: float) -> float:
-        return -expo * math.log(ball_mass(w, R))
-
-    return _morrey_sup(f, p, w, lognorm, window, tol, strict, "central Morrey")
+    _check("CentralMorrey", p, lam)
+    return _morrey_sup(f, p, w, w, 1.0 + lam * p, window, strict, "central Morrey")
 
 
 def two_weight_morrey_norm(
@@ -503,34 +466,70 @@ def two_weight_morrey_norm(
     w1: Weight,
     w2: Weight,
     window: tuple[int, int] = DEFAULT_WINDOW,
-    tol: float = 1e-11,
     strict: bool = True,
 ) -> NormResult:
     """sup_R ( w2(B_R)^{-lam} integral_{B_R} |f|^p w1 )^{1/p}."""
-    if p < 1:
-        raise ValueError("two-weight Morrey norm requires p >= 1")
-    if lam <= 0:
-        raise ValueError("two-weight Morrey requires lambda > 0")
-
-    def lognorm(R: float) -> float:
-        return -lam * math.log(ball_mass(w2, R))
-
-    return _morrey_sup(f, p, w1, lognorm, window, tol, strict, "two-weight Morrey")
+    _check("TwoWeightMorrey", p, lam)
+    return _morrey_sup(f, p, w1, w2, lam, window, strict, "two-weight Morrey")
 
 
 # ---------------------------------------------------------------------------
-# space specification objects
+# the norm kinds
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _Kind:
+    """A norm kind: the parameters it takes, in its norm function's argument
+    order; its range rules, each a (text, test) pair whose test takes the
+    parameter values by name; and its evaluator, called as
+    norm(f, *parameter values, window=..., strict=...)."""
+
+    params: tuple[str, ...]
+    rules: tuple[tuple[str, Callable[..., bool]], ...]
+    norm: Callable[..., NormResult]
+
+
+_Q_AT_LEAST_1 = ("q >= 1", lambda q, **_: q >= 1)
+_P_AT_LEAST_1 = ("p >= 1", lambda p, **_: p >= 1)
+_P_POSITIVE = ("p > 0", lambda p, **_: p > 0)
+_LAM_NONNEGATIVE = ("lambda >= 0", lambda lam, **_: lam >= 0)
+_HERZ_RULES = (_P_POSITIVE, _Q_AT_LEAST_1)
+_MORREY_HERZ_RULES = (*_HERZ_RULES, _LAM_NONNEGATIVE)
+
+# Each evaluator looks its norm function up by name when called, so a
+# wrapper installed on the module attribute (a profiler, a tracer) sees it.
 _KINDS = {
-    "Lq": ("q", "w1"),
-    "CentralMorrey": ("p", "lam", "w1"),
-    "Herz": ("alpha", "p", "q", "w1"),
-    "MorreyHerz": ("alpha", "lam", "p", "q", "w1"),
-    "TwoWeightMorrey": ("p", "lam", "w1", "w2"),
-    "TwoWeightHerz": ("alpha", "p", "q", "w1", "w2"),
-    "TwoWeightMorreyHerz": ("alpha", "lam", "p", "q", "w1", "w2"),
+    "Lq": _Kind(
+        ("q", "w1"), (_Q_AT_LEAST_1,),
+        lambda f, q, w, window, strict: NormResult(lq_norm(f, q, w, window=window), window[0], window[1], 0.0)),
+    "CentralMorrey": _Kind(
+        ("p", "lam", "w1"), (_P_AT_LEAST_1, ("1 + lambda p > 0", lambda p, lam, **_: 1 + lam * p > 0)),
+        lambda *args, **kw: central_morrey_norm(*args, **kw)),
+    "Herz": _Kind(
+        ("alpha", "p", "q", "w1"), _HERZ_RULES,
+        lambda *args, **kw: herz_norm(*args, **kw)),
+    "MorreyHerz": _Kind(
+        ("alpha", "lam", "p", "q", "w1"), _MORREY_HERZ_RULES,
+        lambda *args, **kw: morrey_herz_norm(*args, **kw)),
+    "TwoWeightMorrey": _Kind(
+        ("p", "lam", "w1", "w2"), (_P_AT_LEAST_1, ("lambda > 0", lambda lam, **_: lam > 0)),
+        lambda *args, **kw: two_weight_morrey_norm(*args, **kw)),
+    "TwoWeightHerz": _Kind(
+        ("alpha", "p", "q", "w1", "w2"), _HERZ_RULES,
+        lambda *args, **kw: two_weight_herz_norm(*args, **kw)),
+    "TwoWeightMorreyHerz": _Kind(
+        ("alpha", "lam", "p", "q", "w1", "w2"), _MORREY_HERZ_RULES,
+        lambda *args, **kw: two_weight_morrey_herz_norm(*args, **kw)),
 }
+
+
+def _check(kind: str, *values) -> None:
+    """Raise ValueError unless ``values``, the leading parameters of ``kind``
+    in order, meet every range rule of that kind."""
+    named = dict(zip(_KINDS[kind].params, values))
+    for text, test in _KINDS[kind].rules:
+        if not test(**named):
+            raise ValueError(f"{kind} requires {text}")
 
 
 @dataclass(frozen=True)
@@ -548,45 +547,22 @@ class SpaceSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown space kind {self.kind!r}")
-        used = _KINDS[self.kind]
+        used = _KINDS[self.kind].params
         for name in ("p", "q", "alpha", "lam", "w1", "w2"):
             val = getattr(self, name)
             if name in used and val is None:
                 raise ValueError(f"{self.kind} requires {name}")
             if name not in used and val is not None:
                 raise ValueError(f"{self.kind} does not take {name}")
-        if self.kind in ("CentralMorrey", "TwoWeightMorrey") and self.p < 1:
-            raise ValueError(f"{self.kind} requires p >= 1")
-        if self.kind in ("Herz", "MorreyHerz", "TwoWeightHerz", "TwoWeightMorreyHerz"):
-            if self.p <= 0 or self.q <= 0:
-                raise ValueError("requires 0 < p, q")
-        if self.kind in ("MorreyHerz", "TwoWeightMorreyHerz") and self.lam < 0:
-            raise ValueError("requires lambda >= 0")
-        if self.kind == "TwoWeightMorrey" and self.lam <= 0:
-            raise ValueError("requires lambda > 0")
+        _check(self.kind, *self._values())
+
+    def _values(self) -> list:
+        return [getattr(self, name) for name in _KINDS[self.kind].params]
 
     def evaluate(
         self,
         f: TestFunction,
         window: tuple[int, int] = DEFAULT_WINDOW,
-        tol: float = 1e-11,
         strict: bool = True,
     ) -> NormResult:
-        if self.kind == "Lq":
-            val = lq_norm(f, self.q, self.w1, "all", tol, window)
-            return NormResult(val, window[0], window[1], 0.0, None, False)
-        if self.kind == "CentralMorrey":
-            return central_morrey_norm(f, self.p, self.lam, self.w1, window, tol, strict)
-        if self.kind == "Herz":
-            return herz_norm(f, self.alpha, self.p, self.q, self.w1, window, tol, strict)
-        if self.kind == "MorreyHerz":
-            return morrey_herz_norm(f, self.alpha, self.lam, self.p, self.q, self.w1, window, tol, strict)
-        if self.kind == "TwoWeightMorrey":
-            return two_weight_morrey_norm(f, self.p, self.lam, self.w1, self.w2, window, tol, strict)
-        if self.kind == "TwoWeightHerz":
-            return two_weight_herz_norm(f, self.alpha, self.p, self.q, self.w1, self.w2, window, tol, strict)
-        if self.kind == "TwoWeightMorreyHerz":
-            return two_weight_morrey_herz_norm(
-                f, self.alpha, self.lam, self.p, self.q, self.w1, self.w2, window, tol, strict
-            )
-        raise AssertionError
+        return _KINDS[self.kind].norm(f, *self._values(), window=window, strict=strict)

@@ -93,6 +93,7 @@ BAD_CONFIGS = {
 
 
 CONSTANT = ["constant", "--id", "c1", "--n", "1", "--gamma", "0"]
+NORM_SHELL = ["norm", "--radial", "1", "--support-min", "1", "--support-max", "2"]
 BAD_ARGV = {
     "constant_power_no_args": CONSTANT + ["--phi", "power", "--lambda", "0.1"],
     "constant_unknown_preset": CONSTANT + ["--phi", "bogus", "--lambda", "0.1"],
@@ -104,6 +105,22 @@ BAD_ARGV = {
     "norm_two_weight_morrey_p_below_1": ["norm", "--space", "TwoWeightMorrey", "--p", "0.5", "--lambda", "0.5",
                                          "--radial", "1", "--support-min", "0.5", "--support-max", "1"],
     "verify_missing_config": ["verify", "--config", "{tmp}/missing.json", "--out-dir", "{tmp}/out"],
+    # values the numerics reject while evaluating
+    "apply_without_exponent_at_zero": ["apply", "--radial", "1", "--support-max", "1", "--phi", "hardy:1",
+                                       "--x", "1"],
+    "apply_at_the_origin": ["apply", "--radial", "1", "--support-max", "1", "--phi", "hardy:1",
+                            "--exponent-at-zero", "0", "--x", "0"],
+    "norm_central_morrey_without_exponent_at_zero": ["norm", "--space", "CentralMorrey", "--p", "2",
+                                                     "--lambda", "-0.1", "--radial", "1", "--support-max", "1"],
+    # out of range for the kind (spaces._KINDS)
+    "norm_herz_q_below_1": NORM_SHELL + ["--space", "Herz", "--p", "1", "--q", "0.5", "--alpha", "0"],
+    "norm_morrey_herz_q_below_1": NORM_SHELL + ["--space", "MorreyHerz", "--p", "1", "--q", "0.5",
+                                                "--alpha", "0", "--lambda", "0.5"],
+    "norm_two_weight_herz_q_below_1": NORM_SHELL + ["--space", "TwoWeightHerz", "--p", "1", "--q", "0.5",
+                                                    "--alpha", "0"],
+    "norm_lq_q_below_1": NORM_SHELL + ["--space", "Lq", "--q", "0.5"],
+    "norm_central_morrey_1_plus_lambda_p_zero": NORM_SHELL + ["--space", "CentralMorrey", "--p", "2",
+                                                              "--lambda", "-0.5"],
 }
 
 

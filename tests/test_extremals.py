@@ -12,7 +12,8 @@ from rough_hausdorff.extremals import (
 )
 from rough_hausdorff.functions import AngularProfile, kernel_presets, omega_norm
 from rough_hausdorff.operators import HausdorffOperator
-from rough_hausdorff.spaces import central_morrey_norm, chunk_lq_norm, herz_norm, morrey_herz_norm
+from rough_hausdorff.quadrature import Annulus
+from rough_hausdorff.spaces import central_morrey_norm, herz_norm, lq_norm, morrey_herz_norm
 from rough_hausdorff.weights import Weight
 
 OM1 = AngularProfile.constant(1.0, 1)
@@ -88,7 +89,7 @@ def test_herz_extremal_support_and_chunks():
     assert fam.chunk_norm(0) == 0.0
     for k in (1, 2, 3):
         closed = fam.chunk_norm(k)
-        quad = chunk_lq_norm(f, 2.0, W01, k)
+        quad = lq_norm(f, 2.0, W01, Annulus(k))
         assert quad == pytest.approx(closed, rel=1e-8)
 
 
@@ -131,7 +132,7 @@ def test_morrey_herz_extremal_chunks():
     n, gamma, q, alpha, lam = 1, 0.0, 2.0, 0.1, 0.5
     fam = morrey_herz_extremal(OM1, W01, q, alpha, lam)
     for k in (-1, 0, 2):
-        quad = chunk_lq_norm(fam.function, q, W01, k)
+        quad = lq_norm(fam.function, q, W01, Annulus(k))
         assert quad == pytest.approx(fam.chunk_norm(k), rel=1e-8)
 
 
@@ -142,7 +143,7 @@ def test_morrey_herz_extremal_constant_chunk_case():
     c0, c3 = fam.chunk_norm(0), fam.chunk_norm(3)
     assert c0 == pytest.approx(c3)
     assert c0 == pytest.approx(math.log(2.0) ** 0.5 * math.sqrt(2.0), rel=1e-12)
-    quad = chunk_lq_norm(fam.function, q, W01, 2)
+    quad = lq_norm(fam.function, q, W01, Annulus(2))
     assert quad == pytest.approx(c0, rel=1e-8)
 
 

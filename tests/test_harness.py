@@ -243,6 +243,23 @@ def test_morrey_herz_commutator_below_p_1_needs_positive_lambda():
         ("hypotheses", "SKIPPED", "requires lambda > 0 when p < 1")]
 
 
+def test_omega_exponent_1_skips_its_case_and_the_campaign_goes_on():
+    # p = 1 (Cor3_1, T3_4) or q = 1 (Cor3_2) satisfies the hypotheses, but Omega
+    # is then measured in L^inf (r' = inf), which the checks do not cover
+    cfg = default_config()
+    cases = {c["id"]: c for c in cfg["cases"]}
+    edits = {"cor3_1_n1": {"p": 1.0}, "t3_4_n1": {"p": 1.0}, "cor3_2_n1": {"q": 1.0}}
+    cfg["cases"] = [dict(cases[cid], params={**cases[cid]["params"], **edit}) for cid, edit in edits.items()]
+    cfg["cases"].append(cases["lemma_2_1"])
+    report = run_suite(cfg)
+    skipped = [(r.case_id, r.quantity, r.verdict) for r in report.rows[:3]]
+    assert skipped == [(cid, "scope", "SKIPPED") for cid in edits]
+    assert all("= inf" in r.detail for r in report.rows[:3])
+    later = report.rows[3:]
+    assert later and all(r.case_id == "lemma_2_1" and r.verdict == "PASS" for r in later)
+    assert report.exit_code() == 0
+
+
 def test_default_config_loads():
     cfg = default_config()
     assert len(cfg["cases"]) >= 10

@@ -18,7 +18,6 @@ from rough_hausdorff.spaces import (
     NormDivergentError,
     SpaceSpec,
     central_morrey_norm,
-    chunk_lq_norm,
     herz_norm,
     lq_norm,
     morrey_herz_norm,
@@ -98,7 +97,7 @@ def test_morrey_herz_power_chunk_formula():
     s = lam - alpha
     onorm_w = (2.0) ** (1.0 / 2.0)  # ||1||_{L^2(S^0, w)} = sqrt(2)
     for k in (0, 1, 2):
-        chunk = chunk_lq_norm(f, q, w, k)
+        chunk = lq_norm(f, q, w, Annulus(k))
         closed = 2.0 ** (k * s) * abs((1.0 - 2.0 ** (-q * s)) / (q * s)) ** (1.0 / q) * onorm_w
         assert chunk == pytest.approx(closed, abs=1e-8, rel=1e-8)
 
@@ -140,7 +139,7 @@ def test_two_weight_herz_exponent_bookkeeping():
 def test_two_weight_herz_alpha_zero_single_chunk():
     f = indicator_shell(1, 0.5, 1.0)
     assert two_weight_herz_norm(f, 0.0, 2, 2, W01, W01).value == pytest.approx(
-        chunk_lq_norm(f, 2, W01, 0), abs=1e-10
+        lq_norm(f, 2, W01, Annulus(0)), abs=1e-10
     )
 
 
@@ -190,6 +189,17 @@ def test_space_spec_validation():
         SpaceSpec(kind="Herz", alpha=0.0, p=2.0, q=2.0)  # missing weight
     with pytest.raises(ValueError):
         SpaceSpec(kind="CentralMorrey", p=0.5, lam=-0.1, w1=W01)  # p < 1
+    out_of_range = [
+        dict(kind="Herz", alpha=0.0, p=1.0, q=0.5, w1=W01),
+        dict(kind="MorreyHerz", alpha=0.0, lam=0.5, p=1.0, q=0.5, w1=W01),
+        dict(kind="TwoWeightHerz", alpha=0.0, p=1.0, q=0.5, w1=W01, w2=W01),
+        dict(kind="TwoWeightMorreyHerz", alpha=0.0, lam=0.5, p=1.0, q=0.5, w1=W01, w2=W01),
+        dict(kind="Lq", q=0.5, w1=W01),
+        dict(kind="CentralMorrey", p=2.0, lam=-0.5, w1=W01),  # 1 + lambda p = 0
+    ]
+    for params in out_of_range:  # rejected when built, not first when evaluated
+        with pytest.raises(ValueError):
+            SpaceSpec(**params)
     spec = SpaceSpec(kind="MorreyHerz", alpha=0.1, lam=0.5, p=2.0, q=2.0, w1=W01)
     res = spec.evaluate(indicator_shell(1, 0.5, 1.0))
     assert res.value > 0
