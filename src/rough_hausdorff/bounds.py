@@ -27,6 +27,8 @@ from .functions import AngularProfile, RadialKernel, omega_norm
 from .quadrature import DivergentIntegralError, integrate_interval
 from .weights import Weight
 
+CONSTANT_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class BoundConstant:
@@ -45,11 +47,11 @@ class BoundConstant:
         }
 
 
-def _power_integral(phi: RadialKernel, power: float, cid: str, params: dict, tol: float,
+def _power_integral(phi: RadialKernel, power: float, cid: str, params: dict,
                     extra_beta: float | None = None, inverted: bool = False,
-                    signed: bool = False) -> BoundConstant:
-    """integral of |Phi(t)| t^{power} [ (1+1/t)^beta ] dt, or with Phi(1/t);
-    Phi itself instead of |Phi| when ``signed``.
+                    signed: bool = False, lo: float = 0.0) -> BoundConstant:
+    """integral from ``lo`` to infinity of |Phi(t)| t^{power} [ (1+1/t)^beta ] dt,
+    or with Phi(1/t); Phi itself instead of |Phi| when ``signed``.
 
     ``power`` is the net exponent multiplying |Phi(t)| (or |Phi(1/t)|).
     """
@@ -71,26 +73,26 @@ def _power_integral(phi: RadialKernel, power: float, cid: str, params: dict, tol
     if inverted:
         edges = [1.0 / c for c in edges]
     try:
-        res = integrate_interval(ev, 0.0, math.inf, tol, exponent_at_zero=e0, exponent_at_infinity=einf,
+        res = integrate_interval(ev, lo, math.inf, CONSTANT_TOL, exponent_at_zero=e0, exponent_at_infinity=einf,
                                  align=tuple(edges))
     except DivergentIntegralError:
         return BoundConstant(cid, None, True, params)
     return BoundConstant(cid, res.value, False, params, res.abs_error_estimate + res.tail_bound)
 
 
-def c1(phi: RadialKernel, n: int, gamma: float, lam: float, tol: float = 1e-10) -> BoundConstant:
+def c1(phi: RadialKernel, n: int, gamma: float, lam: float) -> BoundConstant:
     """integral of |Phi(t)| / t^{1 + (n+gamma) lambda} dt."""
     if gamma <= -n:
         raise ValueError("requires gamma > -n")
     params = {"n": n, "gamma": gamma, "lambda": lam}
-    return _power_integral(phi, -1.0 - (n + gamma) * lam, "C1", params, tol)
+    return _power_integral(phi, -1.0 - (n + gamma) * lam, "C1", params)
 
 
-def c1_signed(phi: RadialKernel, n: int, gamma: float, lam: float, tol: float = 1e-10) -> BoundConstant:
+def c1_signed(phi: RadialKernel, n: int, gamma: float, lam: float) -> BoundConstant:
     """Same integral with Phi instead of |Phi|: the two-sided (corollary)
     constant for sign-definite kernels and the pushforward amplitude."""
     return _power_integral(phi, -1.0 - (n + gamma) * lam, "C1_1", {"n": n, "gamma": gamma, "lambda": lam},
-                           tol, signed=True)
+                           signed=True)
 
 
 def c2(
@@ -99,7 +101,6 @@ def c2(
     gamma: float,
     q: float,
     alpha: Optional[float] = None,
-    tol: float = 1e-10,
 ) -> BoundConstant:
     """integral of |Phi(1/t)| t^{1 - 2n - gamma/q - n/q [- alpha]} dt.
 
@@ -116,7 +117,7 @@ def c2(
     params = {"n": n, "gamma": gamma, "q": q}
     if alpha is not None:
         params["alpha"] = alpha
-    return _power_integral(phi, power, cid, params, tol, inverted=True)
+    return _power_integral(phi, power, cid, params, inverted=True)
 
 
 def c3(
@@ -126,7 +127,6 @@ def c3(
     q: float,
     lam: float,
     alpha: float,
-    tol: float = 1e-10,
 ) -> BoundConstant:
     """integral of |Phi(t)| / t^{1 - gamma/q - n/q + lambda - alpha} dt."""
     if q < 1:
@@ -134,14 +134,13 @@ def c3(
     if lam <= 0:
         raise ValueError("requires lambda > 0")
     params = {"n": n, "gamma": gamma, "q": q, "lambda": lam, "alpha": alpha}
-    return _power_integral(phi, -(1.0 - gamma / q - n / q + lam - alpha), "C3", params, tol)
+    return _power_integral(phi, -(1.0 - gamma / q - n / q + lam - alpha), "C3", params)
 
 
-def c3_signed(phi: RadialKernel, n: int, gamma: float, q: float, lam: float, alpha: float,
-              tol: float = 1e-10) -> BoundConstant:
+def c3_signed(phi: RadialKernel, n: int, gamma: float, q: float, lam: float, alpha: float) -> BoundConstant:
     """Same integral as c3 with Phi instead of |Phi| (the pushforward amplitude)."""
     params = {"n": n, "gamma": gamma, "q": q, "lambda": lam, "alpha": alpha}
-    return _power_integral(phi, -(1.0 - gamma / q - n / q + lam - alpha), "C3_signed", params, tol, signed=True)
+    return _power_integral(phi, -(1.0 - gamma / q - n / q + lam - alpha), "C3_signed", params, signed=True)
 
 
 def c4(
@@ -151,7 +150,6 @@ def c4(
     p: float,
     lambda1: float,
     beta: float,
-    tol: float = 1e-10,
     lam: Optional[float] = None,
 ) -> BoundConstant:
     """integral of |Phi(t)| t^{-1 - (gamma+n)(lambda1-1)/p} (1 + 1/t)^beta dt.
@@ -172,7 +170,7 @@ def c4(
         raise ValueError("requires lambda1 > 0")
     params = {"n": n, "gamma": gamma, "p": p, "lambda1": lambda1, "beta": beta}
     power = -1.0 - (gamma + n) * (lambda1 - 1.0) / p
-    return _power_integral(phi, power, "C4", params, tol, extra_beta=beta)
+    return _power_integral(phi, power, "C4", params, extra_beta=beta)
 
 
 def c5(
@@ -185,7 +183,6 @@ def c5(
     variant: str = "herz",
     lam: Optional[float] = None,
     alpha2: Optional[float] = None,
-    tol: float = 1e-10,
 ) -> BoundConstant:
     """The commutator Herz / Morrey-Herz constant.
 
@@ -215,11 +212,10 @@ def c5(
         params = {"n": n, "gamma": gamma, "q": q, "alpha1": alpha1, "beta": beta, "lambda": lam}
     else:
         raise ValueError(f"unknown c5 variant {variant!r}")
-    return _power_integral(phi, -expo, cid, params, tol, extra_beta=beta)
+    return _power_integral(phi, -expo, cid, params, extra_beta=beta)
 
 
-def herz_lower_integral(phi: RadialKernel, n: int, gamma: float, q: float, m: int,
-                        tol: float = 1e-10) -> float:
+def herz_lower_integral(phi: RadialKernel, n: int, gamma: float, q: float, m: int) -> float:
     """Truncated necessity integral over S_m = {u >= 2^{-(m-1)}}:
 
         integral_{S_m} |Phi(1/u)| u^{1 - 2n - gamma/q - n/q - 2^{-m}} du.
@@ -227,14 +223,9 @@ def herz_lower_integral(phi: RadialKernel, n: int, gamma: float, q: float, m: in
     if m < 1:
         raise ValueError("m >= 1")
     power = 1.0 - 2.0 * n - gamma / q - n / q - 2.0 ** (-m)
-
-    def ev(u):
-        u = np.asarray(u, dtype=float)
-        return np.abs(phi(1.0 / u)) * u ** power
-
-    lo = 2.0 ** (-(m - 1))
-    einf = -phi.exponent_at_zero + power if phi.exponent_at_zero != math.inf else -math.inf
-    res = integrate_interval(ev, lo, math.inf, tol, exponent_at_infinity=einf)
+    res = _power_integral(phi, power, "C2_m", {"m": m}, inverted=True, lo=2.0 ** (-(m - 1)))
+    if res.divergent:
+        raise DivergentIntegralError(f"truncated necessity integral diverges at m={m}")
     return res.value
 
 
@@ -242,7 +233,6 @@ def lower_bound_factor(
     omega: AngularProfile,
     r: float,
     w: Weight,
-    tol: float = 1e-11,
 ) -> float:
     """||Omega||_{r}^{r} / ||Omega||_{r, w dsigma}^{r/p}  with r = p', 1/p + 1/p' = 1.
 
@@ -250,8 +240,8 @@ def lower_bound_factor(
     """
     if not (1.0 < r < math.inf):
         raise ValueError("requires r = p' in (1, inf); p = 1 (r = inf) is out of scope")
-    unweighted = omega_norm(omega, r, None, tol)
-    weighted = omega_norm(omega, r, w, tol)
+    unweighted = omega_norm(omega, r)
+    weighted = omega_norm(omega, r, w)
     if weighted == 0.0:
         raise ZeroDivisionError("weighted symbol norm vanishes")
     # r/p = r (1 - 1/r) = r - 1

@@ -19,6 +19,8 @@ from . import exprs
 from .quadrature import integrate_sphere, sphere_nodes
 from .weights import Weight
 
+OMEGA_TOL = 1e-11
+
 
 @dataclass(frozen=True)
 class AngularProfile:
@@ -56,7 +58,6 @@ def omega_norm(
     omega: AngularProfile,
     r: float,
     weight: Optional[Weight] = None,
-    tol: float = 1e-11,
 ) -> float:
     """L^r norm of the symbol on the sphere, weighted by the angular part of
     ``weight`` when given; r = inf takes the max over quadrature nodes."""
@@ -73,7 +74,7 @@ def omega_norm(
             v = v * np.asarray(weight.angular(points), dtype=float)
         return v
 
-    total = integrate_sphere(n, g, tol).value
+    total = integrate_sphere(n, g, OMEGA_TOL).value
     return total ** (1.0 / r)
 
 

@@ -471,8 +471,6 @@ def _commutator_slack(p: dict, w1: Weight, w2: Weight, index: float, lam: Option
 
 
 def _morrey_hypotheses(p: dict, n: float, gamma: float) -> Optional[str]:
-    if gamma <= -n:
-        return f"gamma={gamma} <= -n"
     if not (1.0 <= p["p"] < math.inf):
         return "requires 1 <= p < inf"
     if 1.0 + p["lambda"] * p["p"] <= 0.0:
@@ -483,8 +481,6 @@ def _morrey_hypotheses(p: dict, n: float, gamma: float) -> Optional[str]:
 def _herz_hypotheses(p: dict, n: float, gamma: float) -> Optional[str]:
     if not (1.0 <= p["p"] < math.inf and 1.0 <= p["q"] < math.inf):
         return "requires 1 <= p, q < inf"
-    if gamma <= -n:
-        return f"gamma={gamma} <= -n"
     return None
 
 
@@ -604,11 +600,17 @@ def tracked_slack(theorem: str, params: dict, w1: Weight, w2: Optional[Weight] =
 
 
 def validate_case(case: TheoremCase) -> Optional[str]:
-    """None when the theorem's hypotheses hold, else the violation reason."""
+    """None when the theorem's hypotheses hold, else the violation reason.
+    Every theorem of the table needs gamma > -n, checked first: the indices
+    and constants divide by n + gamma."""
     spec = THEOREM_TABLE.get(case.theorem)
+    if spec is None:
+        return None
     n = case.params.get("n", case.w1.dim if case.w1 else 1)
     gamma = case.w1.gamma if case.w1 else 0.0
-    return spec.hypotheses(case.params, n, gamma) if spec else None
+    if gamma <= -n:
+        return f"gamma={gamma} <= -n"
+    return spec.hypotheses(case.params, n, gamma)
 
 
 def _constant_for(case: TheoremCase) -> bmod.BoundConstant:

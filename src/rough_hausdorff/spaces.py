@@ -6,7 +6,10 @@ Conventions shared by every evaluator:
   * Z-indexed dyadic sums are truncated to a window [k_min, k_max]; tail
     bounds come from geometric fits of the last two shell terms on each
     side, and a norm is reported divergent (rather than silently truncated)
-    when those terms fail to decay.
+    when those terms fail to decay.  L^q over R^n is one of these sums:
+    the Herz norm at alpha = 0, p = q.  Morrey-Herz suprema continue past
+    the right edge by a recurrence on the damped partial sums (see
+    ``_morrey_herz_engine``).
   * Continuous suprema over radii R > 0 run on the quarter-dyadic grid
     R = 2^(j/4); a supremand still climbing at the window edge is likewise
     reported divergent.
@@ -137,25 +140,14 @@ def lq_norm(
     region="all",
     window: tuple[int, int] = DEFAULT_WINDOW,
 ) -> float:
-    """Weighted L^q norm over a region ('all', Ball, Annulus or Shell)."""
+    """Weighted L^q norm over a region ('all', Ball, Annulus or Shell); over
+    all of R^n it is the Herz norm at alpha = 0, p = q."""
     _check("Lq", q)
     if isinstance(region, (Ball, Annulus, Shell)):
         return float(_shell_integrals(f, q, w, _radial_bounds(region), NORM_TOL)[0]) ** (1.0 / q)
     if region != "all":
         raise ValueError(f"unknown region {region!r}")
-
-    chunks = _chunk_table(f, q, w, window)
-    total, tail, diverged, why = _sum_with_tails(chunks ** q)
-    if diverged:
-        partial = NormResult(total ** (1.0 / q), window[0], window[1], math.inf, None, True)
-        raise NormDivergentError(f"L^{q} norm diverges: {why}", partial)
-    return total ** (1.0 / q)
-
-
-def _chunk_table(f: TestFunction, q: float, w: Weight, window: tuple[int, int]) -> np.ndarray:
-    """Shell norms || f chi_k ||_{q, w} for k_min <= k <= k_max."""
-    k_min, k_max = window
-    return _shell_integrals(f, q, w, 2.0 ** np.arange(k_min - 1, k_max + 1), NORM_TOL) ** (1.0 / q)
+    return herz_norm(f, 0.0, q, q, w, window).value
 
 
 def _side_tail(terms: np.ndarray, side: str) -> tuple[float, bool, str]:
@@ -219,7 +211,8 @@ def _terms(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The window's k and its terms tau_k = 2^{p log2_weight(k)} ||f chi_k||_{q, w_chunk}^p."""
     ks = np.arange(window[0], window[1] + 1)
-    chunks = _chunk_table(f, q, w_chunk, window)
+    edges = 2.0 ** np.arange(window[0] - 1, window[1] + 1)
+    chunks = _shell_integrals(f, q, w_chunk, edges, NORM_TOL) ** (1.0 / q)
     return ks, np.array([2.0 ** (p * log2_weight(int(k))) for k in ks]) * chunks ** p
 
 
@@ -288,9 +281,9 @@ def _morrey_herz_engine(
     may legitimately grow with k (ratio up to 2^{p lam_slope} is exactly
     compensated by the prefactor; the scale-invariant extremals sit at that
     marginal rate), so the beyond-window supremum is controlled by a
-    geometric continuation fitted to the last two shell terms: supremand
-    log2-slope beyond the edge is g/p - lam_slope with g the term growth
-    rate, divergent when positive.
+    geometric continuation fitted to the last two shell terms: with rho the
+    term ratio, the supremand changes by (rho 2^{-p lam_slope})^{1/p} per
+    step beyond the edge, divergent when that exceeds 1.
     """
     k_min, k_max = window
     ks, tau = _terms(f, q, w_chunk, log2_weight, p, window)
@@ -304,38 +297,26 @@ def _morrey_herz_engine(
     reasons: list[str] = []
     tail_bound = 0.0
 
-    # right continuation: tau_{k_max + j} modeled as tau[-1] * rho^j
+    # right continuation: tau_{k_max + j} modeled as tau[-1] rho^j.  The
+    # supremand at k_max + j is 2^{log2_prefactor(k_max)} d_j^{1/p} with
+    # d_j = u d_{j-1} + tau[-1] (u rho)^j, u = 2^{-p lam_slope}, d_0 = prefix[-1].
+    # For u rho <= 1 the increments obey D_{j+1} = u D_j + tau[-1] (u rho)^j (u rho - 1),
+    # so d_j falls for good once it falls, and d_j <= d_0 + j tau[-1] cannot overflow.
     if tau[-1] > 1e-13 * max(prefix[-1], 1e-300):
         rho = tau[-1] / tau[-2] if len(tau) > 1 and tau[-2] > 0 else 1.0
-        excess = math.log2(rho) / p - lam_slope if rho > 0 else -math.inf
-        if excess > 1e-9:
+        u = 2.0 ** (-p * lam_slope)
+        step = (u * rho) ** (1.0 / p)
+        if step > 2.0 ** 1e-9:
             diverged = True
-            reasons.append(
-                f"supremand climbs beyond the right edge (rate 2^{excess:.3g} per step)"
-            )
+            reasons.append(f"supremand climbs beyond the right edge (ratio {step:.6g} per step)")
         else:
-            # log-space evaluation: the continued prefix may overflow floats
-            l2_tau = math.log2(tau[-1])
-            l2_rho = math.log2(rho) if rho > 0 else -math.inf
-            l2_prefix = math.log2(prefix[-1]) if prefix[-1] > 0 else -math.inf
-            best_beyond = 0.0
-            sj_prev = value
+            d = prefix[-1]
             for j in range(1, 4000):
-                if rho == 1.0:
-                    l2_geom = l2_tau + math.log2(j)
-                elif rho > 1.0:
-                    l2_geom = (l2_tau + math.log2(rho / (rho - 1.0)) + j * l2_rho
-                               + math.log1p(-(rho ** -min(j, 1000))) / math.log(2.0))
-                else:
-                    l2_geom = l2_tau + math.log2(rho * (1.0 - rho ** j) / (1.0 - rho))
-                m = max(l2_prefix, l2_geom)
-                l2_run = m + math.log2(2.0 ** (l2_prefix - m) + 2.0 ** (l2_geom - m))
-                l2_sj = log2_prefactor(k_max) - lam_slope * j + l2_run / p
-                sj = 2.0 ** min(l2_sj, 1000.0)
-                best_beyond = max(best_beyond, sj)
-                if sj < sj_prev and sj < 0.5 * best_beyond:
+                d_next = u * d + tau[-1] * (u * rho) ** j
+                if d_next <= d:
                     break
-                sj_prev = sj
+                d = d_next
+            best_beyond = 2.0 ** log2_prefactor(k_max) * d ** (1.0 / p)
             if best_beyond > value:
                 tail_bound += best_beyond - value
                 value = best_beyond
@@ -501,7 +482,7 @@ _MORREY_HERZ_RULES = (*_HERZ_RULES, _LAM_NONNEGATIVE)
 _KINDS = {
     "Lq": _Kind(
         ("q", "w1"), (_Q_AT_LEAST_1,),
-        lambda f, q, w, window, strict: NormResult(lq_norm(f, q, w, window=window), window[0], window[1], 0.0)),
+        lambda f, q, w, window, strict: herz_norm(f, 0.0, q, q, w, window, strict)),
     "CentralMorrey": _Kind(
         ("p", "lam", "w1"), (_P_AT_LEAST_1, ("1 + lambda p > 0", lambda p, lam, **_: 1 + lam * p > 0)),
         lambda *args, **kw: central_morrey_norm(*args, **kw)),

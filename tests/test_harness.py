@@ -7,6 +7,7 @@ import pytest
 from rough_hausdorff.functions import AngularProfile, LipschitzSymbol, kernel_presets, lipschitz_presets
 from rough_hausdorff.harness import (
     ERROR,
+    THEOREM_TABLE,
     ConfigError,
     TheoremCase,
     check_divergence_control,
@@ -263,3 +264,21 @@ def test_omega_exponent_1_skips_its_case_and_the_campaign_goes_on():
 def test_default_config_loads():
     cfg = default_config()
     assert len(cfg["cases"]) >= 10
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.5], ids=["gamma_-n", "gamma_-n-0.5"])
+def test_weight_outside_the_class_skips_every_theorem(offset):
+    # gamma <= -n: the commutator indices and the constants divide by n + gamma
+    cfg = default_config()
+    cases = {c["id"]: c for c in cfg["cases"]}
+    template = {"T3_1": "cor3_1_n1", "Cor3_1": "cor3_1_n1", "T3_2": "cor3_2_n1", "Cor3_2": "cor3_2_n1",
+                "T3_3": "cor3_3_n1", "Cor3_3": "cor3_3_n1", "T3_4": "t3_4_n1", "T3_5": "t3_5_n1",
+                "T3_6": "t3_6_n1"}
+    assert set(template) == set(THEOREM_TABLE)
+    cfg["weights"]["edge"] = {"gamma": -1.0 - offset, "dim": 1, "angular": "const"}
+    cfg["cases"] = [dict(cases[cid], id=theorem, theorem=theorem, weight="edge")
+                    for theorem, cid in template.items()]
+    report = run_suite(cfg)
+    assert [(r.case_id, r.quantity, r.verdict, r.detail) for r in report.rows] == [
+        (theorem, "hypotheses", "SKIPPED", f"gamma={-1.0 - offset} <= -n") for theorem in template]
+    assert report.exit_code() == 0

@@ -49,6 +49,35 @@ def test_lq_norm_divergence_detected():
         lq_norm(power_function(1, 0.0), 2, W01)
 
 
+# |x|^-1/4 on (0, 1]: ||f||_{L^2(R)}^2 = 4
+QUARTER = separable(1, lambda r: np.asarray(r, dtype=float) ** -0.25, support=(0.0, 1.0), exponents=(-0.25, None))
+
+
+def test_lq_kind_honours_strict_and_reports_its_tail():
+    spec = SpaceSpec("Lq", q=2, w1=W01)
+    flat = power_function(1, 0.0)
+    res = spec.evaluate(flat, strict=False)
+    assert res.diverged and res.tail_bound == math.inf
+    with pytest.raises(NormDivergentError):
+        spec.evaluate(flat)
+    # the shells of QUARTER below the window sum to a geometric tail
+    res = spec.evaluate(QUARTER)
+    assert not res.diverged and 0.0 < res.tail_bound < math.inf
+    assert res.value + res.tail_bound == pytest.approx(2.0, rel=1e-10)
+
+
+@pytest.mark.parametrize("f", [
+    QUARTER,
+    TestFunction(dim=1, general=lambda x: np.exp(-np.linalg.norm(x, axis=1))),
+], ids=["separable", "general"])
+def test_lq_kind_is_herz_at_alpha_0(f):
+    w = Weight.power(0.3, 1)
+    for q in (1.5, 2.0):
+        herz = SpaceSpec("Herz", alpha=0.0, p=q, q=q, w1=w).evaluate(f, window=(-12, 12))
+        assert SpaceSpec("Lq", q=q, w1=w).evaluate(f, window=(-12, 12)) == herz
+        assert lq_norm(f, q, w, window=(-12, 12)) == herz.value
+
+
 def test_central_morrey_power_closed_form():
     # sup-form constant for |x|^{(n+gamma)lambda}: 2^0.1 * 0.8^{-1/2} (n=1, gamma=0)
     f = power_function(1, -0.1)
@@ -100,6 +129,22 @@ def test_morrey_herz_power_chunk_formula():
         chunk = lq_norm(f, q, w, Annulus(k))
         closed = 2.0 ** (k * s) * abs((1.0 - 2.0 ** (-q * s)) / (q * s)) ** (1.0 / q) * onorm_w
         assert chunk == pytest.approx(closed, abs=1e-8, rel=1e-8)
+
+
+@pytest.mark.parametrize("window", [(-4, 2), (-4, 3), (-4, 30)])
+def test_morrey_herz_continuation_matches_the_closed_form(window):
+    # |x|^e on (1, inf), n = 1, alpha = 0, p = q = 2: tau_k = tau_1 rho^(k-1) for k >= 1, and
+    # the supremand 2^(-lam k) (tau_1 (rho^k - 1) / (rho - 1))^(1/p) peaks at k = 4, beyond
+    # the first two windows; the two-weight form carries w1(B_k)^(-lam) = 2^(-lam (k + 1))
+    e, lam, p, q = -0.05, 0.5, 2.0, 2.0
+    f = separable(1, lambda r: np.asarray(r, dtype=float) ** e, support=(1.0, math.inf), exponents=(None, e))
+    tau1 = 2.0 * (2.0 ** (2 * e + 1) - 1.0) / (2 * e + 1)
+    rho = 2.0 ** (p * (e + 1.0 / q))
+    closed = max(2.0 ** (-lam * k) * (tau1 * (rho ** k - 1.0) / (rho - 1.0)) ** (1.0 / p) for k in range(1, 60))
+    res = morrey_herz_norm(f, 0.0, lam, p, q, W01, window)
+    assert res.value == pytest.approx(closed, rel=1e-12, abs=0.0)
+    two = two_weight_morrey_herz_norm(f, 0.0, lam, p, q, W01, W01, window)
+    assert two.value == pytest.approx(closed * 2.0 ** -lam, rel=1e-12, abs=0.0)
 
 
 def test_two_weight_morrey_identification():
