@@ -226,6 +226,10 @@ def check_upper(case: TheoremCase, tol_rel: float = 1e-3) -> list[ReportRow]:
         ratio = nt / nf
         if ratio > best:
             best, best_name = ratio, f.name
+    if skipped == len(case.corpus):
+        rows.append(ReportRow(case.id, "upper_max_ratio", "", bound, "", SKIPPED,
+                              f"no corpus member has a positive finite source norm on window {list(case.window)}"))
+        return rows
     verdict = PASS if best <= bound * (1.0 + tol_rel) else FAIL
     rows.append(ReportRow(
         case.id, "upper_max_ratio", best, bound, bound * (1.0 + tol_rel) - best, verdict,
@@ -695,6 +699,14 @@ def default_config() -> dict:
         return json.load(fh)
 
 
+def _window(value, where: str) -> tuple[int, int]:
+    """``value`` as a dyadic window: two integers k_min <= k_max, else ConfigError."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(isinstance(k, int) and not isinstance(k, bool) for k in value) and value[0] <= value[1]):
+        raise ConfigError(f"{where}: window {value!r} is not two integers k_min <= k_max")
+    return tuple(value)
+
+
 def _case_from_config(entry: dict, registries: dict, window: tuple[int, int]) -> TheoremCase:
     try:
         theorem = entry["theorem"]
@@ -728,7 +740,7 @@ def _case_from_config(entry: dict, registries: dict, window: tuple[int, int]) ->
             symbol=symbol,
             corpus=corpus,
             extremal_ms=list(entry.get("extremal_ms", [])),
-            window=tuple(entry.get("window", window)),
+            window=_window(entry.get("window", window), f"case {entry['id']}"),
             expect=entry.get("expect", "pass"),
         )
     except KeyError as exc:
@@ -780,7 +792,7 @@ def run_suite(config) -> VerificationReport:
     cfg = load_config(config)
     tolerances = dict(cfg.get("tolerances", {}))
     tol_rel = float(tolerances.get("ratio_rel", 1e-3))
-    window = tuple(tolerances.get("dyadic_window", CASE_WINDOW))
+    window = _window(tolerances.get("dyadic_window", CASE_WINDOW), "tolerances.dyadic_window")
     registries = {
         "weights": {k: _build_weight(v) for k, v in cfg.get("weights", {}).items()},
         "omegas": {k: _build_omega(v) for k, v in cfg.get("omegas", {}).items()},

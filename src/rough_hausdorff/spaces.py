@@ -3,13 +3,16 @@ Morrey-Herz, and the two-weight Morrey / Herz / Morrey-Herz variants.
 
 Conventions shared by every evaluator:
 
-  * Z-indexed dyadic sums are truncated to a window [k_min, k_max]; tail
-    bounds come from geometric fits of the last two shell terms on each
-    side, and a norm is reported divergent (rather than silently truncated)
-    when those terms fail to decay.  L^q over R^n is one of these sums:
-    the Herz norm at alpha = 0, p = q.  Morrey-Herz suprema continue past
-    the right edge by a recurrence on the damped partial sums (see
-    ``_morrey_herz_engine``).
+  * L^q over R^n, Herz, Morrey-Herz and the two-weight Herz-type kinds run
+    on one engine, ``_dyadic_norm``: the supremum over k0 of a prefactor
+    times the p-th root of the partial sum of the shell terms up to k0, on a
+    window [k_min, k_max] (k_min <= k_max).  The Herz-type kinds take no
+    prefactor, so their supremum is the whole sum; L^q is the Herz norm at
+    alpha = 0, p = q.  Past each edge f's support crosses, the terms
+    continue geometrically at the ratio of the last two (``_edge_ratio``):
+    the mass below the window joins every partial sum, the supremum beyond
+    it is in closed form (``_right_sup``), and a norm whose continuation
+    fails to settle is reported divergent rather than silently truncated.
   * Continuous suprema over radii R > 0 run on the quarter-dyadic grid
     R = 2^(j/4); a supremand still climbing at the window edge is likewise
     reported divergent.
@@ -36,7 +39,7 @@ Every shell integral runs at the one tolerance ``NORM_TOL``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -76,13 +79,7 @@ class NormResult:
     diverged: bool = False
 
     def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "k_min": self.k_min,
-            "k_max": self.k_max,
-            "tail_bound": self.tail_bound,
-            "attained_at": self.attained_at,
-        }
+        return {k: v for k, v in asdict(self).items() if k != "diverged"}
 
 
 def _sphere_factor(f: TestFunction, q: float, w: Weight, tol: float) -> float:
@@ -150,50 +147,17 @@ def lq_norm(
     return herz_norm(f, 0.0, q, q, w, window).value
 
 
-def _side_tail(terms: np.ndarray, side: str) -> tuple[float, bool, str]:
-    """Geometric tail bound for nonnegative terms beyond one window edge.
-
-    Returns (tail, diverged, reason).  The fit uses the last two nonzero
-    terms; exact for geometric (pure power shell) decay.
-    """
-    seq = terms if side == "right" else terms[::-1]
-    total = float(seq.sum())
-    nz = np.nonzero(seq)[0]
-    if len(nz) == 0:
-        return 0.0, False, ""
-    last = nz[-1]
-    if last < len(seq) - 1:
-        # terms vanish before the edge: compactly supported side
-        return 0.0, False, ""
-    if len(nz) < 2 or nz[-2] != last - 1:
-        return float(seq[last]), False, "single edge term"
-    a, b = float(seq[last - 1]), float(seq[last])
-    if b < 1e-13 * max(total, 1.0):
-        return b, False, ""
-    rho = b / a if a > 0 else 1.0
-    if rho >= 0.9999:
-        return math.inf, True, f"{side} shell terms fail to decay (ratio {rho:.4f})"
-    return b * rho / (1.0 - rho), False, ""
-
-
-def _sum_with_tails(terms: np.ndarray) -> tuple[float, float, bool, str]:
-    total = float(terms.sum())
-    tail_r, div_r, why_r = _side_tail(terms, "right")
-    tail_l, div_l, why_l = _side_tail(terms, "left")
-    diverged = div_r or div_l
-    why = "; ".join(x for x in (why_r, why_l) if x)
-    return total, tail_l + tail_r, diverged, why
-
-
-def _power_sum_norm(total: float, tail: float, p: float) -> tuple[float, float]:
-    """(sum)^{1/p} with the tail re-expressed at the norm level."""
-    value = total ** (1.0 / p) if total > 0 else 0.0
-    bumped = (total + tail) ** (1.0 / p) if math.isfinite(tail) else math.inf
-    return value, max(0.0, bumped - value)
+def _window_grid(window: tuple[int, int], per_octave: int = 1) -> np.ndarray:
+    """The grid indices j, per_octave k_min <= j <= per_octave k_max, of a
+    window [k_min, k_max]; ValueError unless k_min <= k_max."""
+    k_min, k_max = window
+    if k_min > k_max:
+        raise ValueError(f"window [{k_min}, {k_max}] needs k_min <= k_max")
+    return np.arange(per_octave * k_min, per_octave * k_max + 1)
 
 
 # ---------------------------------------------------------------------------
-# Herz-type sums
+# Herz-type sums and Morrey-Herz suprema
 # ---------------------------------------------------------------------------
 
 def _log2_ball_power(w: Weight, s: float, n: int) -> Callable[[int], float]:
@@ -201,22 +165,51 @@ def _log2_ball_power(w: Weight, s: float, n: int) -> Callable[[int], float]:
     return lambda k: (s / n) * math.log2(ball_mass(w, 2.0 ** k))
 
 
-def _terms(
-    f: TestFunction,
-    q: float,
-    w_chunk: Weight,
-    log2_weight: Callable[[int], float],
-    p: float,
-    window: tuple[int, int],
-) -> tuple[np.ndarray, np.ndarray]:
-    """The window's k and its terms tau_k = 2^{p log2_weight(k)} ||f chi_k||_{q, w_chunk}^p."""
-    ks = np.arange(window[0], window[1] + 1)
-    edges = 2.0 ** np.arange(window[0] - 1, window[1] + 1)
-    chunks = _shell_integrals(f, q, w_chunk, edges, NORM_TOL) ** (1.0 / q)
-    return ks, np.array([2.0 ** (p * log2_weight(int(k))) for k in ks]) * chunks ** p
+def _edge_ratio(terms: np.ndarray) -> float:
+    """The per-step ratio rho of the terms beyond the last of ``terms`` (pass
+    them reversed for the left edge): 0 when the terms vanish before the edge
+    or the edge term is below 1e-13 of their sum, 1/2 for a lone edge term,
+    otherwise the ratio of the last two terms (exact for the geometric shell
+    terms of a pure power)."""
+    if terms[-1] <= 1e-13 * terms.sum():
+        return 0.0
+    if len(terms) < 2 or terms[-2] == 0.0:
+        return 0.5
+    return float(terms[-1] / terms[-2])
 
 
-def _herz_engine(
+def _right_sup(d: float, tau: float, rho: float, u: float) -> float:
+    """sup over j >= 0 of u^j (d + tau (rho + ... + rho^j)), in closed form.
+
+    With r = tau rho / (1 - rho) the j-th value is (d + r) u^j - r (u rho)^j:
+    two geometric sequences, with at most one stationary point between them.
+    It is evaluated as u^j (d + tau rho expm1(j L) / expm1(L)), L = log rho,
+    which stays exact as rho -> 1, where the sum is j tau.  The divergent
+    cases (u rho > 1 beyond the caller's band, or u = 1 with rho near 1) are
+    the caller's; u rho >= 1 here is taken as exactly 1.
+    """
+    if rho == 0.0:
+        return d
+    if u == 1.0:
+        return d + tau * rho / (1.0 - rho)
+    lu, L = math.log(u), math.log(rho)
+    if lu + L >= 0.0:  # u rho = 1: the values run monotonically from d to -r
+        return max(d, tau * rho / (rho - 1.0))
+
+    def at(j: int) -> float:
+        return u ** j * (d + tau * (j if L == 0.0 else rho * math.expm1(j * L) / math.expm1(L)))
+
+    if L == 0.0:
+        x = -d / tau - 1.0 / lu
+    else:  # no real root: the values fall from j = 0 on
+        arg = -d * math.expm1(L) / (tau * rho)
+        x = (math.log1p(arg) - math.log1p(L / lu)) / L if arg > -1.0 else 0.0
+    if not x > 0.0:
+        return d
+    return max(d, at(math.floor(x)), at(math.ceil(x)))
+
+
+def _dyadic_norm(
     f: TestFunction,
     q: float,
     w_chunk: Weight,
@@ -224,14 +217,59 @@ def _herz_engine(
     p: float,
     window: tuple[int, int],
     strict: bool,
+    log2_prefactor: Optional[Callable[[int], float]] = None,
+    slope: float = 0.0,
 ) -> NormResult:
-    """(sum_k tau_k)^{1/p} over the terms of ``_terms``."""
-    _, tau = _terms(f, q, w_chunk, log2_weight, p, window)
-    total, tail, diverged, why = _sum_with_tails(tau)
-    value, norm_tail = _power_sum_norm(total, tail, p)
-    result = NormResult(value, window[0], window[1], norm_tail, None, diverged)
-    if diverged and strict:
-        raise NormDivergentError(f"Herz-type sum diverges: {why}", result)
+    """sup over k0 of 2^{log2_prefactor(k0)} (sum_{k<=k0} tau_k)^{1/p}, over
+    the window's terms tau_k = 2^{p log2_weight(k)} ||f chi_k||_{q, w_chunk}^p;
+    ``slope`` (>= 0) is the prefactor's decrease per unit k0.
+
+    Beyond each edge that f's support crosses, the terms continue
+    geometrically at that side's ``_edge_ratio``.  The mass below the window,
+    tau_first rho_L / (1 - rho_L), is added to every partial sum; beyond the
+    right edge the supremand is the prefactor at k_max times
+    ``_right_sup``^{1/p}, with u = 2^{-p slope}.  The norm diverges when the
+    supremand grows outward by more than 2^{1e-9} per step (the
+    scale-invariant extremals sit exactly at 1), or, undamped, when the
+    terms decay by less than 0.9999 per step.
+
+    Without a prefactor (the Herz-type kinds) the supremum is the whole sum,
+    and the value is the window's sum; the Morrey-Herz kinds report the
+    continued supremum.  tail_bound is the continued supremum less the
+    window's own; a divergent norm keeps the window's value, with tail_bound
+    = inf.
+    """
+    ks = _window_grid(window)
+    edges = 2.0 ** np.arange(window[0] - 1, window[1] + 1)
+    chunks = _shell_integrals(f, q, w_chunk, edges, NORM_TOL) ** (1.0 / q)
+    tau = np.array([2.0 ** (p * log2_weight(int(k))) for k in ks]) * chunks ** p
+    root = 1.0 / p
+    # no terms lie beyond an edge that f's support does not cross
+    rho_l = _edge_ratio(tau[::-1]) if f.support[0] < edges[0] else 0.0
+    rho_r = _edge_ratio(tau) if f.support[1] > edges[-1] else 0.0
+    u = 2.0 ** (-p * slope)
+    reasons = []
+    if rho_l >= 0.9999 or 2.0 ** slope * rho_l ** root > 2.0 ** 1e-9:
+        reasons.append(f"left shell terms fail to decay (ratio {rho_l:.6g} per step, slope {slope:g})")
+    if (u * rho_r) ** root > 2.0 ** 1e-9 or (u == 1.0 and rho_r >= 0.9999):
+        reasons.append(f"right shell terms fail to decay (ratio {rho_r:.6g} per step, slope {slope:g})")
+    herz = log2_prefactor is None
+    partial = np.cumsum(tau)
+    prefac = np.ones(len(ks)) if herz else np.array([2.0 ** log2_prefactor(int(k)) for k in ks])
+    own = float(tau.sum()) ** root if herz else float(np.max(prefac * partial ** root))
+    value, attained, continued = own, None, math.inf
+    if not reasons:
+        left = tau[0] * rho_l / (1.0 - rho_l)
+        vals = prefac * (left + partial) ** root
+        idx = int(np.argmax(vals))
+        beyond = prefac[-1] * _right_sup(left + partial[-1], tau[-1], rho_r, u) ** root
+        continued = max(float(vals[idx]), beyond)
+        if not herz:
+            value, attained = continued, (int(ks[idx]) if vals[idx] >= beyond else None)
+    result = NormResult(value, window[0], window[1], max(continued - own, 0.0), attained, bool(reasons))
+    if reasons and strict:
+        label = "Herz-type sum" if herz else "Morrey-Herz-type supremum"
+        raise NormDivergentError(f"{label} diverges: " + "; ".join(reasons), result)
     return result
 
 
@@ -246,7 +284,7 @@ def herz_norm(
 ) -> NormResult:
     """Weighted Herz norm (sum_k 2^{k alpha p} ||f chi_k||_{q,w}^p)^{1/p}."""
     _check("Herz", alpha, p, q)
-    return _herz_engine(f, q, w, lambda k: alpha * k, p, window, strict)
+    return _dyadic_norm(f, q, w, lambda k: alpha * k, p, window, strict)
 
 
 def two_weight_herz_norm(
@@ -261,91 +299,7 @@ def two_weight_herz_norm(
 ) -> NormResult:
     """(sum_k w1(B_k)^{alpha p / n} ||f chi_k||_{q, w2}^p)^{1/p}."""
     _check("TwoWeightHerz", alpha, p, q)
-    return _herz_engine(f, q, w2, _log2_ball_power(w1, alpha, f.dim), p, window, strict)
-
-
-def _morrey_herz_engine(
-    f: TestFunction,
-    q: float,
-    w_chunk: Weight,
-    log2_weight: Callable[[int], float],
-    log2_prefactor: Callable[[int], float],
-    p: float,
-    lam_slope: float,
-    window: tuple[int, int],
-    strict: bool,
-) -> NormResult:
-    """sup over k0 of 2^{log2_prefactor(k0)} (sum_{k<=k0} tau_k)^{1/p}.
-
-    lam_slope is the decrease of log2_prefactor per unit k0 (>= 0).  Terms
-    may legitimately grow with k (ratio up to 2^{p lam_slope} is exactly
-    compensated by the prefactor; the scale-invariant extremals sit at that
-    marginal rate), so the beyond-window supremum is controlled by a
-    geometric continuation fitted to the last two shell terms: with rho the
-    term ratio, the supremand changes by (rho 2^{-p lam_slope})^{1/p} per
-    step beyond the edge, divergent when that exceeds 1.
-    """
-    k_min, k_max = window
-    ks, tau = _terms(f, q, w_chunk, log2_weight, p, window)
-    prefix = np.cumsum(tau)
-    prefac = np.array([2.0 ** log2_prefactor(int(k)) for k in ks])
-    sup_vals = prefac * prefix ** (1.0 / p)
-    idx = int(np.argmax(sup_vals))
-    value = float(sup_vals[idx])
-    attained = int(ks[idx])
-    diverged = False
-    reasons: list[str] = []
-    tail_bound = 0.0
-
-    # right continuation: tau_{k_max + j} modeled as tau[-1] rho^j.  The
-    # supremand at k_max + j is 2^{log2_prefactor(k_max)} d_j^{1/p} with
-    # d_j = u d_{j-1} + tau[-1] (u rho)^j, u = 2^{-p lam_slope}, d_0 = prefix[-1].
-    # For u rho <= 1 the increments obey D_{j+1} = u D_j + tau[-1] (u rho)^j (u rho - 1),
-    # so d_j falls for good once it falls, and d_j <= d_0 + j tau[-1] cannot overflow.
-    if tau[-1] > 1e-13 * max(prefix[-1], 1e-300):
-        rho = tau[-1] / tau[-2] if len(tau) > 1 and tau[-2] > 0 else 1.0
-        u = 2.0 ** (-p * lam_slope)
-        step = (u * rho) ** (1.0 / p)
-        if step > 2.0 ** 1e-9:
-            diverged = True
-            reasons.append(f"supremand climbs beyond the right edge (ratio {step:.6g} per step)")
-        else:
-            d = prefix[-1]
-            for j in range(1, 4000):
-                d_next = u * d + tau[-1] * (u * rho) ** j
-                if d_next <= d:
-                    break
-                d = d_next
-            best_beyond = 2.0 ** log2_prefactor(k_max) * d ** (1.0 / p)
-            if best_beyond > value:
-                tail_bound += best_beyond - value
-                value = best_beyond
-                attained = None
-
-    # left continuation: prefixes below k_min modeled by tau[0] * rho_L^j
-    if len(tau) > 1 and tau[0] > 1e-13 * max(prefix[-1], 1e-300) and tau[1] > 0:
-        rho_left = tau[0] / tau[1]
-        # supremand at k_min - j ~ 2^{lam_slope j} * (tau[0] rho_L^j / (1 - rho_L))^{1/p}
-        step = 2.0 ** lam_slope * rho_left ** (1.0 / p)
-        if rho_left < 1.0:
-            base = 2.0 ** log2_prefactor(k_min) * (tau[0] / (1.0 - rho_left)) ** (1.0 / p)
-            if step > 1.0 + 1e-9:
-                diverged = True
-                reasons.append("supremand climbs beyond the left edge")
-            else:
-                cand = base * step
-                if cand > value:
-                    tail_bound += cand - value
-                    value = cand
-                    attained = None
-        elif lam_slope > 0.0:
-            diverged = True
-            reasons.append("left shell terms fail to decay under a positive damping exponent")
-
-    result = NormResult(value, k_min, k_max, tail_bound, attained, diverged)
-    if diverged and strict:
-        raise NormDivergentError("Morrey-Herz-type supremum diverges: " + "; ".join(reasons), result)
-    return result
+    return _dyadic_norm(f, q, w2, _log2_ball_power(w1, alpha, f.dim), p, window, strict)
 
 
 def morrey_herz_norm(
@@ -360,7 +314,7 @@ def morrey_herz_norm(
 ) -> NormResult:
     """sup_{k0} 2^{-k0 lam} (sum_{k<=k0} 2^{k alpha p} ||f chi_k||_{q,w}^p)^{1/p}."""
     _check("MorreyHerz", alpha, lam, p, q)
-    return _morrey_herz_engine(f, q, w, lambda k: alpha * k, lambda k0: -lam * k0, p, lam, window, strict)
+    return _dyadic_norm(f, q, w, lambda k: alpha * k, p, window, strict, lambda k0: -lam * k0, lam)
 
 
 def two_weight_morrey_herz_norm(
@@ -377,9 +331,8 @@ def two_weight_morrey_herz_norm(
     """sup_{k0} w1(B_{k0})^{-lam/n} (sum_{k<=k0} w1(B_k)^{alpha p/n} ||f chi_k||_{q,w2}^p)^{1/p}."""
     _check("TwoWeightMorreyHerz", alpha, lam, p, q)
     n = f.dim
-    lam_slope = lam * (n + w1.gamma) / n
-    return _morrey_herz_engine(f, q, w2, _log2_ball_power(w1, alpha, n), _log2_ball_power(w1, -lam, n),
-                               p, lam_slope, window, strict)
+    return _dyadic_norm(f, q, w2, _log2_ball_power(w1, alpha, n), p, window, strict,
+                        _log2_ball_power(w1, -lam, n), lam * (n + w1.gamma) / n)
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +355,7 @@ def _morrey_sup(
     A supremand that peaks at a window edge and still climbs over the three
     grid radii there makes the norm divergent.
     """
-    k_min, k_max = window
-    js = np.arange(GRID_PER_OCTAVE * k_min, GRID_PER_OCTAVE * k_max + 1)
+    js = _window_grid(window, GRID_PER_OCTAVE)
     radii = 2.0 ** (js / GRID_PER_OCTAVE)
     # integral of |f|^p w_int over B(0, R) for each grid radius R
     cum = np.cumsum(_shell_integrals(f, p, w_int, np.concatenate(([0.0], radii)), NORM_TOL, orders=(6, 13)))
@@ -411,18 +363,13 @@ def _morrey_sup(
         lognorm = np.array([-expo * math.log(ball_mass(w_mass, float(R))) for R in radii])
         vals = np.where(cum > 0.0, np.exp((np.log(np.where(cum > 0, cum, 1.0)) + lognorm) / p), 0.0)
     idx = int(np.argmax(vals))
-    value = float(vals[idx])
-    attained = int(js[idx])
-    diverged = False
     reasons = []
-    for side, sl in (("right", slice(-3, None)), ("left", slice(None, 3))):
-        edge = vals[sl] if side == "right" else vals[sl][::-1]
-        at_edge = idx == (len(vals) - 1 if side == "right" else 0)
-        if at_edge and len(edge) == 3 and edge[-1] >= edge[-2] >= edge[-3] and edge[-1] > (1.0 + 1e-6) * edge[-3] > 0:
-            diverged = True
+    for side, edge, end in (("right", vals[-3:], len(vals) - 1), ("left", vals[2::-1], 0)):
+        if (idx == end and len(edge) == 3 and edge[-1] >= edge[-2] >= edge[-3]
+                and edge[-1] > (1.0 + 1e-6) * edge[-3] > 0):
             reasons.append(f"supremand still climbing at the {side} edge")
-    result = NormResult(value, k_min, k_max, 0.0, attained, diverged)
-    if diverged and strict:
+    result = NormResult(float(vals[idx]), window[0], window[1], 0.0, int(js[idx]), bool(reasons))
+    if reasons and strict:
         raise NormDivergentError(f"{label} supremum diverges: " + "; ".join(reasons), result)
     return result
 

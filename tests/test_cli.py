@@ -89,6 +89,8 @@ BAD_CONFIGS = {
     "weight_missing_key": {"weights": {"w": {"dim": 1}}},
     "power_bad_range": {"kernels": {"k": {"preset": "power", "a": -2.0, "lo": 2, "hi": 1}}},
     "omega_bad_expression": {"omegas": {"o": {"expr": "2 + bogus(", "dim": 2}}},
+    "case_window_reversed": {"cases": [{"id": "a", "theorem": "Lemma2_1", "window": [3, -3]}]},
+    "dyadic_window_reversed": {"tolerances": {"dyadic_window": [4, -4]}, "cases": []},
 }
 
 
@@ -119,6 +121,8 @@ BAD_ARGV = {
     "norm_two_weight_herz_q_below_1": NORM_SHELL + ["--space", "TwoWeightHerz", "--p", "1", "--q", "0.5",
                                                     "--alpha", "0"],
     "norm_lq_q_below_1": NORM_SHELL + ["--space", "Lq", "--q", "0.5"],
+    "norm_herz_reversed_window": NORM_SHELL + ["--space", "Herz", "--p", "1", "--q", "2", "--alpha", "0",
+                                               "--window", "4", "-4"],
     "norm_central_morrey_1_plus_lambda_p_zero": NORM_SHELL + ["--space", "CentralMorrey", "--p", "2",
                                                               "--lambda", "-0.5"],
 }

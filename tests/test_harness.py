@@ -145,6 +145,25 @@ def test_degenerate_corpus_members_skipped():
     assert rows["upper_max_ratio"].verdict == "PASS"
 
 
+def test_upper_check_without_a_measurable_source_is_skipped():
+    # every corpus member lies in 1/4 <= |x| <= 4, beyond every ball of the window's radii
+    case = small_morrey_case(corpus_size=4)
+    case.window = (-40, -30)
+    rows = {r.quantity: r for r in check_upper(case)}
+    assert rows["upper_max_ratio"].verdict == "SKIPPED"
+    assert rows["upper_max_ratio"].detail.startswith("no corpus member has a positive finite source norm")
+
+
+@pytest.mark.parametrize("tolerances,window", [({}, [3, -3]), ({"dyadic_window": [4, -4]}, None),
+                                               ({}, [0.5, 3]), ({}, [1, 2, 3])])
+def test_window_must_be_two_ordered_integers(tolerances, window):
+    case = {"id": "a", "theorem": "Lemma2_1"}
+    if window is not None:
+        case["window"] = window
+    with pytest.raises(ConfigError, match="k_min <= k_max"):
+        run_suite({"tolerances": tolerances, "cases": [case]})
+
+
 def test_exit_code_on_fail_row():
     from rough_hausdorff.harness import ReportRow, VerificationReport
 

@@ -147,6 +147,75 @@ def test_morrey_herz_continuation_matches_the_closed_form(window):
     assert two.value == pytest.approx(closed * 2.0 ** -lam, rel=1e-12, abs=0.0)
 
 
+def test_morrey_herz_without_decay_at_lambda_0_diverges():
+    # lambda = 0 and constant shell terms: the sum grows by tau per step without bound
+    f = power_function(1, -0.5)
+    res = morrey_herz_norm(f, 0.0, 0.0, 2, 2, W01, window=(-4, 4), strict=False)
+    assert res.diverged and res.tail_bound == math.inf
+    with pytest.raises(NormDivergentError):
+        morrey_herz_norm(f, 0.0, 0.0, 2, 2, W01, window=(-4, 4))
+
+
+def test_morrey_herz_adds_the_mass_below_the_window():
+    # |x|^-0.3 on (0, 1], n = 1, alpha = 0, lambda = 0.1, p = q = 2: the partial sums are
+    # 5 2^(0.4 k0) for k0 <= 0, so the supremand sqrt(5) 2^(0.1 k0) peaks at k0 = 0,
+    # whatever part of the sum lies below the window
+    f = separable(1, lambda r: np.asarray(r, dtype=float) ** -0.3, support=(0.0, 1.0), exponents=(-0.3, None))
+    for k in range(4, 25, 4):
+        res = morrey_herz_norm(f, 0.0, 0.1, 2, 2, W01, window=(-k, k))
+        assert res.value == pytest.approx(math.sqrt(5.0), rel=1e-12, abs=0.0)
+        assert res.attained_at == 0 and res.tail_bound > 0.0
+
+
+def test_no_tail_beyond_an_edge_the_support_does_not_cross():
+    # (1/2, 1] is the shell k = 0: nothing lies beyond a window that starts or ends
+    # there, so a lone edge term is not continued, not even under a prefactor that
+    # falls faster than 2^(1/p) per step
+    f = indicator_shell(1, 0.5, 1.0)
+    res = morrey_herz_norm(f, 0.0, 1.0, 2, 2, W01, window=(0, 4))
+    assert not res.diverged and res.tail_bound == 0.0 and res.value == pytest.approx(1.0, abs=1e-10)
+    assert herz_norm(f, 0.0, 2, 2, W01, window=(0, 0)).tail_bound == 0.0
+
+
+@pytest.mark.parametrize("f", [
+    QUARTER,
+    indicator_shell(1, 0.5, 4.0),
+    power_function(1, -0.5),
+    separable(1, lambda r: np.asarray(r, dtype=float) ** -0.75, support=(1.0, math.inf), exponents=(None, -0.75)),
+], ids=["quarter", "shell", "flat", "decaying"])
+def test_morrey_herz_at_lambda_0_is_herz_with_its_tail(f):
+    for alpha in (-0.2, 0.0, 0.1):
+        for mh, h in ((morrey_herz_norm(f, alpha, 0.0, 2, 2, W01, (-8, 8), strict=False),
+                       herz_norm(f, alpha, 2, 2, W01, (-8, 8), strict=False)),
+                      (two_weight_morrey_herz_norm(f, alpha, 0.0, 2, 2, W01, W01, (-8, 8), strict=False),
+                       two_weight_herz_norm(f, alpha, 2, 2, W01, W01, (-8, 8), strict=False))):
+            assert mh.diverged == h.diverged
+            if not h.diverged:
+                assert mh.value == pytest.approx(h.value + h.tail_bound, rel=1e-12, abs=0.0)
+
+
+def _recurrence_sup(d, tau, rho, u):
+    # d_j = u d_(j-1) + tau (u rho)^j = (d + r) u^j - r (u rho)^j, run until both
+    # geometric parts are constant or spent
+    best = cur = d
+    for j in range(1, 100_000):
+        cur = u * cur + tau * (u * rho) ** j
+        best = max(best, cur)
+        if all(x > 1.0 - 1e-12 or x ** j < 1e-18 for x in (u, u * rho)):
+            return best
+    raise AssertionError("the recurrence did not settle")
+
+
+def test_right_continuation_closed_form_matches_the_recurrence():
+    rng = np.random.default_rng(5)
+    cases = [(2.0, 1.0, rho, 1.0) for rho in (0.0, 0.3, 0.9)]  # u = 1
+    for _ in range(200):
+        d, tau, u = 10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(-3, 3), 2.0 ** -rng.uniform(0.05, 3.0)
+        cases += [(d, tau, rng.uniform(0.0, 1.0 / u), u), (d, tau, 1.0, u), (d, tau, 1.0 / u, u)]
+    for d, tau, rho, u in cases:
+        assert spaces._right_sup(d, tau, rho, u) == pytest.approx(_recurrence_sup(d, tau, rho, u), rel=1e-11)
+
+
 def test_two_weight_morrey_identification():
     lam = -0.1
     p = 2
@@ -264,6 +333,20 @@ def test_absolute_homogeneity_all_norms():
     ]
     for ev in evals:
         assert ev(f.scaled(c)) == pytest.approx(abs(c) * ev(f), rel=1e-12)
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("Lq", dict(q=2.0, w1=W01)),
+    ("CentralMorrey", dict(p=2.0, lam=-0.1, w1=W01)),
+    ("Herz", dict(alpha=0.0, p=2.0, q=2.0, w1=W01)),
+    ("MorreyHerz", dict(alpha=0.0, lam=0.5, p=2.0, q=2.0, w1=W01)),
+    ("TwoWeightMorrey", dict(p=2.0, lam=0.5, w1=W01, w2=W01)),
+    ("TwoWeightHerz", dict(alpha=0.0, p=2.0, q=2.0, w1=W01, w2=W01)),
+    ("TwoWeightMorreyHerz", dict(alpha=0.0, lam=0.5, p=2.0, q=2.0, w1=W01, w2=W01)),
+])
+def test_every_kind_rejects_a_reversed_window(kind, params):
+    with pytest.raises(ValueError, match="k_min <= k_max"):
+        SpaceSpec(kind, **params).evaluate(indicator_shell(1, 0.5, 1.0), window=(4, -4))
 
 
 def test_norm_result_serialization():
