@@ -3,24 +3,24 @@ Morrey-Herz, and the two-weight Morrey / Herz / Morrey-Herz variants.
 
 Conventions shared by every evaluator:
 
-  * L^q over R^n, Herz, Morrey-Herz and the two-weight Herz-type kinds run
-    on one engine, ``_dyadic_norm``: the supremum over k0 of a prefactor
-    times the p-th root of the partial sum of the shell terms up to k0, on a
-    window [k_min, k_max] (k_min <= k_max).  The Herz-type kinds take no
-    prefactor, so their supremum is the whole sum; L^q is the Herz norm at
-    alpha = 0, p = q.  Past each edge f's support crosses, the terms
-    continue geometrically at the ratio of the last two (``_edge_ratio``):
-    the mass below the window joins every partial sum, the supremum beyond
-    it is in closed form (``_right_sup``), and a norm whose continuation
-    fails to settle is reported divergent rather than silently truncated.
-  * Continuous suprema over radii R > 0 run on the quarter-dyadic grid
-    R = 2^(j/4); a supremand still climbing at the window edge is likewise
-    reported divergent.
+  * All seven kinds run on one engine, ``_dyadic_norm``: the supremum over
+    k0 of a prefactor times the p-th root of the partial sum of the shell
+    terms up to k0, on a window [k_min, k_max] (k_min <= k_max).  Shell
+    weights and prefactors are powers of the radius, passed as affine log2s.
+    The Herz-type kinds take no prefactor, so their supremum is the whole
+    sum; L^q is the Herz norm at alpha = 0, p = q.  The Morrey kinds are the
+    same supremum at alpha = 0, q = p over the quarter-dyadic grid of radii
+    R = 2^(j/4), with a ball-mass power as prefactor.  Past each edge f's
+    support crosses, the terms continue geometrically at the ratio of the
+    last two (``_edge_ratio``): the mass below the window joins every
+    partial sum, however small, the supremum beyond it is in closed form
+    (``_right_sup``), and a norm whose continuation fails to settle is
+    reported divergent rather than silently truncated.
   * Every norm reduces to integrals of |f|^q w over shells a < |x| < b
     (dyadic annuli, or the segments between grid radii), computed by one
     helper, ``_shell_integrals``.  It clips each shell to f's support,
-    skips the empty ones and solves the rest in one engine call, the shell
-    from 0 and the shell out to infinity included.  A separable function
+    skips the empty ones and solves the rest in one engine call; only the
+    regions of ``lq_norm`` reach 0 or infinity.  A separable function
     factors exactly into a radial integral per shell times one sphere
     integral per norm: its shells are one breadth-first
     ``integrate_intervals`` solve (for an operator image, one profile batch
@@ -147,31 +147,21 @@ def lq_norm(
     return herz_norm(f, 0.0, q, q, w, window).value
 
 
-def _window_grid(window: tuple[int, int], per_octave: int = 1) -> np.ndarray:
-    """The grid indices j, per_octave k_min <= j <= per_octave k_max, of a
-    window [k_min, k_max]; ValueError unless k_min <= k_max."""
-    k_min, k_max = window
-    if k_min > k_max:
-        raise ValueError(f"window [{k_min}, {k_max}] needs k_min <= k_max")
-    return np.arange(per_octave * k_min, per_octave * k_max + 1)
-
-
 # ---------------------------------------------------------------------------
-# Herz-type sums and Morrey-Herz suprema
+# the dyadic engine: Herz-type sums and Morrey-type suprema
 # ---------------------------------------------------------------------------
 
-def _log2_ball_power(w: Weight, s: float, n: int) -> Callable[[int], float]:
-    """k -> log2 of w(B(0, 2^k))^{s/n}."""
-    return lambda k: (s / n) * math.log2(ball_mass(w, 2.0 ** k))
+def _log2_ball_power(w: Weight, s: float) -> tuple[float, float]:
+    """(a, b) with log2 of w(B(0, 2^k))^s = a k + b."""
+    return s * (w.dim + w.gamma), s * math.log2(ball_mass(w, 1.0))
 
 
 def _edge_ratio(terms: np.ndarray) -> float:
     """The per-step ratio rho of the terms beyond the last of ``terms`` (pass
-    them reversed for the left edge): 0 when the terms vanish before the edge
-    or the edge term is below 1e-13 of their sum, 1/2 for a lone edge term,
-    otherwise the ratio of the last two terms (exact for the geometric shell
-    terms of a pure power)."""
-    if terms[-1] <= 1e-13 * terms.sum():
+    them reversed for the left edge): 0 when the edge term is 0, 1/2 for a
+    lone edge term, otherwise the ratio of the last two terms (exact for the
+    geometric shell terms of a pure power)."""
+    if terms[-1] == 0.0:
         return 0.0
     if len(terms) < 2 or terms[-2] == 0.0:
         return 0.5
@@ -213,49 +203,60 @@ def _dyadic_norm(
     f: TestFunction,
     q: float,
     w_chunk: Weight,
-    log2_weight: Callable[[int], float],
+    weight: tuple[float, float],
     p: float,
     window: tuple[int, int],
     strict: bool,
-    log2_prefactor: Optional[Callable[[int], float]] = None,
-    slope: float = 0.0,
+    prefactor: Optional[tuple[float, float]] = None,
+    per_octave: int = 1,
 ) -> NormResult:
-    """sup over k0 of 2^{log2_prefactor(k0)} (sum_{k<=k0} tau_k)^{1/p}, over
-    the window's terms tau_k = 2^{p log2_weight(k)} ||f chi_k||_{q, w_chunk}^p;
-    ``slope`` (>= 0) is the prefactor's decrease per unit k0.
+    """sup over k0 of 2^{P(k0)} (sum_{k<=k0} tau_k)^{1/p}, over the window's
+    terms tau_k = 2^{p W(k)} ||f chi_k||_{q, w_chunk}^p.
+
+    The shells are 2^{k - 1/per_octave} < |x| <= 2^k for the grid points k =
+    j / per_octave of the window, under the rule pair G10/G21 on octave
+    shells and G6/G13 on finer ones.  W and P are powers of the radius, given
+    as their log2 (a, b) = a k + b: ``weight`` and ``prefactor`` (a <= 0, so
+    the prefactor falls by s = -a / per_octave per step).
 
     Beyond each edge that f's support crosses, the terms continue
     geometrically at that side's ``_edge_ratio``.  The mass below the window,
     tau_first rho_L / (1 - rho_L), is added to every partial sum; beyond the
-    right edge the supremand is the prefactor at k_max times
-    ``_right_sup``^{1/p}, with u = 2^{-p slope}.  The norm diverges when the
-    supremand grows outward by more than 2^{1e-9} per step (the
+    right edge the supremand is the prefactor at the window's last point
+    times ``_right_sup``^{1/p}, with u = 2^{-p s}.  The norm diverges when
+    the supremand grows outward by more than 2^{1e-9} per step (the
     scale-invariant extremals sit exactly at 1), or, undamped, when the
     terms decay by less than 0.9999 per step.
 
     Without a prefactor (the Herz-type kinds) the supremum is the whole sum,
-    and the value is the window's sum; the Morrey-Herz kinds report the
-    continued supremum.  tail_bound is the continued supremum less the
-    window's own; a divergent norm keeps the window's value, with tail_bound
-    = inf.
+    and the value is the window's sum; the Morrey-type kinds report the
+    continued supremum, attained at a grid index j or beyond the window
+    (None).  tail_bound is the continued supremum less the window's own; a
+    divergent norm keeps the window's value, with tail_bound = inf.
     """
-    ks = _window_grid(window)
-    edges = 2.0 ** np.arange(window[0] - 1, window[1] + 1)
-    chunks = _shell_integrals(f, q, w_chunk, edges, NORM_TOL) ** (1.0 / q)
-    tau = np.array([2.0 ** (p * log2_weight(int(k))) for k in ks]) * chunks ** p
+    k_min, k_max = window
+    if k_min > k_max:
+        raise ValueError(f"window [{k_min}, {k_max}] needs k_min <= k_max")
+    js = np.arange(per_octave * k_min, per_octave * k_max + 1)
+    ks = js / per_octave
+    edges = 2.0 ** (np.arange(js[0] - 1, js[-1] + 1) / per_octave)
+    integrals = _shell_integrals(f, q, w_chunk, edges, NORM_TOL, (10, 21) if per_octave == 1 else (6, 13))
+    tau = 2.0 ** (p * (weight[0] * ks + weight[1])) * integrals ** (p / q)
     root = 1.0 / p
     # no terms lie beyond an edge that f's support does not cross
     rho_l = _edge_ratio(tau[::-1]) if f.support[0] < edges[0] else 0.0
     rho_r = _edge_ratio(tau) if f.support[1] > edges[-1] else 0.0
-    u = 2.0 ** (-p * slope)
+    herz = prefactor is None
+    a, b = prefactor or (0.0, 0.0)
+    s = -a / per_octave
+    u = 2.0 ** (-p * s)
     reasons = []
-    if rho_l >= 0.9999 or 2.0 ** slope * rho_l ** root > 2.0 ** 1e-9:
-        reasons.append(f"left shell terms fail to decay (ratio {rho_l:.6g} per step, slope {slope:g})")
+    if rho_l >= 0.9999 or 2.0 ** s * rho_l ** root > 2.0 ** 1e-9:
+        reasons.append(f"left shell terms fail to decay (ratio {rho_l:.6g} per step, slope {s:g})")
     if (u * rho_r) ** root > 2.0 ** 1e-9 or (u == 1.0 and rho_r >= 0.9999):
-        reasons.append(f"right shell terms fail to decay (ratio {rho_r:.6g} per step, slope {slope:g})")
-    herz = log2_prefactor is None
+        reasons.append(f"right shell terms fail to decay (ratio {rho_r:.6g} per step, slope {s:g})")
     partial = np.cumsum(tau)
-    prefac = np.ones(len(ks)) if herz else np.array([2.0 ** log2_prefactor(int(k)) for k in ks])
+    prefac = 2.0 ** (a * ks + b)
     own = float(tau.sum()) ** root if herz else float(np.max(prefac * partial ** root))
     value, attained, continued = own, None, math.inf
     if not reasons:
@@ -265,10 +266,10 @@ def _dyadic_norm(
         beyond = prefac[-1] * _right_sup(left + partial[-1], tau[-1], rho_r, u) ** root
         continued = max(float(vals[idx]), beyond)
         if not herz:
-            value, attained = continued, (int(ks[idx]) if vals[idx] >= beyond else None)
-    result = NormResult(value, window[0], window[1], max(continued - own, 0.0), attained, bool(reasons))
+            value, attained = continued, (int(js[idx]) if vals[idx] >= beyond else None)
+    result = NormResult(value, k_min, k_max, max(continued - own, 0.0), attained, bool(reasons))
     if reasons and strict:
-        label = "Herz-type sum" if herz else "Morrey-Herz-type supremum"
+        label = "Herz-type sum" if herz else "Morrey-type supremum"
         raise NormDivergentError(f"{label} diverges: " + "; ".join(reasons), result)
     return result
 
@@ -284,7 +285,7 @@ def herz_norm(
 ) -> NormResult:
     """Weighted Herz norm (sum_k 2^{k alpha p} ||f chi_k||_{q,w}^p)^{1/p}."""
     _check("Herz", alpha, p, q)
-    return _dyadic_norm(f, q, w, lambda k: alpha * k, p, window, strict)
+    return _dyadic_norm(f, q, w, (alpha, 0.0), p, window, strict)
 
 
 def two_weight_herz_norm(
@@ -299,7 +300,7 @@ def two_weight_herz_norm(
 ) -> NormResult:
     """(sum_k w1(B_k)^{alpha p / n} ||f chi_k||_{q, w2}^p)^{1/p}."""
     _check("TwoWeightHerz", alpha, p, q)
-    return _dyadic_norm(f, q, w2, _log2_ball_power(w1, alpha, f.dim), p, window, strict)
+    return _dyadic_norm(f, q, w2, _log2_ball_power(w1, alpha / f.dim), p, window, strict)
 
 
 def morrey_herz_norm(
@@ -314,7 +315,7 @@ def morrey_herz_norm(
 ) -> NormResult:
     """sup_{k0} 2^{-k0 lam} (sum_{k<=k0} 2^{k alpha p} ||f chi_k||_{q,w}^p)^{1/p}."""
     _check("MorreyHerz", alpha, lam, p, q)
-    return _dyadic_norm(f, q, w, lambda k: alpha * k, p, window, strict, lambda k0: -lam * k0, lam)
+    return _dyadic_norm(f, q, w, (alpha, 0.0), p, window, strict, (-lam, 0.0))
 
 
 def two_weight_morrey_herz_norm(
@@ -331,47 +332,8 @@ def two_weight_morrey_herz_norm(
     """sup_{k0} w1(B_{k0})^{-lam/n} (sum_{k<=k0} w1(B_k)^{alpha p/n} ||f chi_k||_{q,w2}^p)^{1/p}."""
     _check("TwoWeightMorreyHerz", alpha, lam, p, q)
     n = f.dim
-    return _dyadic_norm(f, q, w2, _log2_ball_power(w1, alpha, n), p, window, strict,
-                        _log2_ball_power(w1, -lam, n), lam * (n + w1.gamma) / n)
-
-
-# ---------------------------------------------------------------------------
-# Morrey-type suprema over continuous radii
-# ---------------------------------------------------------------------------
-
-def _morrey_sup(
-    f: TestFunction,
-    p: float,
-    w_int: Weight,
-    w_mass: Weight,
-    expo: float,
-    window: tuple[int, int],
-    strict: bool,
-    label: str,
-) -> NormResult:
-    """sup over the grid radii R = 2^(j/4) in the window of
-    (w_mass(B_R)^{-expo} * integral_{B_R} |f|^p w_int)^{1/p}.
-
-    A supremand that peaks at a window edge and still climbs over the three
-    grid radii there makes the norm divergent.
-    """
-    js = _window_grid(window, GRID_PER_OCTAVE)
-    radii = 2.0 ** (js / GRID_PER_OCTAVE)
-    # integral of |f|^p w_int over B(0, R) for each grid radius R
-    cum = np.cumsum(_shell_integrals(f, p, w_int, np.concatenate(([0.0], radii)), NORM_TOL, orders=(6, 13)))
-    with np.errstate(divide="ignore"):
-        lognorm = np.array([-expo * math.log(ball_mass(w_mass, float(R))) for R in radii])
-        vals = np.where(cum > 0.0, np.exp((np.log(np.where(cum > 0, cum, 1.0)) + lognorm) / p), 0.0)
-    idx = int(np.argmax(vals))
-    reasons = []
-    for side, edge, end in (("right", vals[-3:], len(vals) - 1), ("left", vals[2::-1], 0)):
-        if (idx == end and len(edge) == 3 and edge[-1] >= edge[-2] >= edge[-3]
-                and edge[-1] > (1.0 + 1e-6) * edge[-3] > 0):
-            reasons.append(f"supremand still climbing at the {side} edge")
-    result = NormResult(float(vals[idx]), window[0], window[1], 0.0, int(js[idx]), bool(reasons))
-    if reasons and strict:
-        raise NormDivergentError(f"{label} supremum diverges: " + "; ".join(reasons), result)
-    return result
+    return _dyadic_norm(f, q, w2, _log2_ball_power(w1, alpha / n), p, window, strict,
+                        _log2_ball_power(w1, -lam / n))
 
 
 def central_morrey_norm(
@@ -382,9 +344,11 @@ def central_morrey_norm(
     window: tuple[int, int] = DEFAULT_WINDOW,
     strict: bool = True,
 ) -> NormResult:
-    """sup_R ( w(B_R)^{-(1+lam p)} integral_{B_R} |f|^p w )^{1/p}."""
+    """sup_R ( w(B_R)^{-(1+lam p)} integral_{B_R} |f|^p w )^{1/p}, over the
+    grid radii R = 2^(j/4) of the window."""
     _check("CentralMorrey", p, lam)
-    return _morrey_sup(f, p, w, w, 1.0 + lam * p, window, strict, "central Morrey")
+    return _dyadic_norm(f, p, w, (0.0, 0.0), p, window, strict,
+                        _log2_ball_power(w, -(1.0 + lam * p) / p), GRID_PER_OCTAVE)
 
 
 def two_weight_morrey_norm(
@@ -396,9 +360,10 @@ def two_weight_morrey_norm(
     window: tuple[int, int] = DEFAULT_WINDOW,
     strict: bool = True,
 ) -> NormResult:
-    """sup_R ( w2(B_R)^{-lam} integral_{B_R} |f|^p w1 )^{1/p}."""
+    """sup_R ( w2(B_R)^{-lam} integral_{B_R} |f|^p w1 )^{1/p}, over the grid
+    radii R = 2^(j/4) of the window."""
     _check("TwoWeightMorrey", p, lam)
-    return _morrey_sup(f, p, w1, w2, lam, window, strict, "two-weight Morrey")
+    return _dyadic_norm(f, p, w1, (0.0, 0.0), p, window, strict, _log2_ball_power(w2, -lam / p), GRID_PER_OCTAVE)
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,18 @@ def test_norm_subcommand(capsys):
     assert {"value", "k_min", "k_max", "tail_bound", "attained_at"} == set(payload)
 
 
+def test_central_morrey_norm_needs_no_exponent_at_zero(capsys):
+    # the Morrey grid's shells all lie inside the window and the mass below it is the
+    # continuation of the shell terms, so no integral reaches 0: 1 on (0, 1] has the
+    # supremand (2R)^0.1 up to R = 1
+    rc = main(["norm", "--space", "CentralMorrey", "--p", "2", "--lambda", "-0.1", "--radial", "1",
+               "--support-max", "1"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["value"] == pytest.approx(2.0 ** 0.1, rel=1e-12, abs=0.0)
+    assert payload["attained_at"] == 0
+
+
 def test_verify_and_report_roundtrip(tmp_path, capsys):
     cfg = {
         "weights": {"w0": {"gamma": 0.0, "dim": 1, "angular": "const"}},
@@ -112,8 +124,6 @@ BAD_ARGV = {
                                        "--x", "1"],
     "apply_at_the_origin": ["apply", "--radial", "1", "--support-max", "1", "--phi", "hardy:1",
                             "--exponent-at-zero", "0", "--x", "0"],
-    "norm_central_morrey_without_exponent_at_zero": ["norm", "--space", "CentralMorrey", "--p", "2",
-                                                     "--lambda", "-0.1", "--radial", "1", "--support-max", "1"],
     # out of range for the kind (spaces._KINDS)
     "norm_herz_q_below_1": NORM_SHELL + ["--space", "Herz", "--p", "1", "--q", "0.5", "--alpha", "0"],
     "norm_morrey_herz_q_below_1": NORM_SHELL + ["--space", "MorreyHerz", "--p", "1", "--q", "0.5",

@@ -18,6 +18,12 @@ def test_functions_and_constants():
     assert g(np.array([0.5]))[0] == pytest.approx(math.pi)
 
 
+def test_pow_computes_in_float():
+    # an integer base with a negative integer exponent, as 2**-20 is
+    f = radial_expression("indicator(r, 0, pow(2, -20)) + pow(2, -2)")
+    np.testing.assert_array_equal(f(np.array([2.0 ** -21, 1.0])), [1.25, 0.25])
+
+
 def test_indicator_two_and_three_arg():
     f = compile_expression("indicator(1, 2)", ("t",))
     assert list(f(np.array([0.5, 1.5, 3.0]))) == [0.0, 1.0, 0.0]

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -79,11 +80,14 @@ def test_lq_kind_is_herz_at_alpha_0(f):
 
 
 def test_central_morrey_power_closed_form():
-    # sup-form constant for |x|^{(n+gamma)lambda}: 2^0.1 * 0.8^{-1/2} (n=1, gamma=0)
+    # sup-form constant for |x|^{(n+gamma)lambda}: 2^0.1 * 0.8^{-1/2} (n=1, gamma=0), the
+    # same at every radius, so also on a window whose partial sums miss most of the mass
     f = power_function(1, -0.1)
-    res = central_morrey_norm(f, 2, -0.1, W01)
-    expected = 2.0 ** 0.1 * 0.8 ** -0.5 * 2.0 ** -0.5 * 2.0 ** 0.5
-    assert res.value == pytest.approx(expected, rel=1e-10)
+    expected = 2.0 ** 0.1 * 0.8 ** -0.5
+    for window in (spaces.DEFAULT_WINDOW, (-4, 4)):
+        res = central_morrey_norm(f, 2, -0.1, W01, window)
+        assert res.value == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert res.tail_bound > 1e-3  # on (-4, 4): the mass below the window, which the continuation adds
 
 
 def test_central_morrey_zero_and_homogeneity():
@@ -165,6 +169,22 @@ def test_morrey_herz_adds_the_mass_below_the_window():
         res = morrey_herz_norm(f, 0.0, 0.1, 2, 2, W01, window=(-k, k))
         assert res.value == pytest.approx(math.sqrt(5.0), rel=1e-12, abs=0.0)
         assert res.attained_at == 0 and res.tail_bound > 0.0
+
+
+@pytest.mark.parametrize("window", [(-24, 24), (-22, 24), (-40, 24)])
+def test_morrey_herz_keeps_a_small_mass_below_the_window(window):
+    # 1 on (0, 2^-20] and on (2^20, 2^21], n = 1, alpha = 0, lambda = 1/2, p = q = 2: the
+    # partial sums are 2^(k0 + 1) for k0 <= -20, so the supremand is sqrt(2) there; at the
+    # left edge the shell term is about 2^-45 of the window's sum, and the prefactor
+    # 2^(-k0/2) magnifies the mass below the window all the same
+    def radial(r):
+        r = np.asarray(r, dtype=float)
+        return np.where((r <= 2.0 ** -20) | ((r > 2.0 ** 20) & (r <= 2.0 ** 21)), 1.0, 0.0)
+
+    f = separable(1, radial, support=(0.0, 2.0 ** 21), exponents=(0.0, None), jumps=(2.0 ** -20, 2.0 ** 20))
+    res = morrey_herz_norm(f, 0.0, 0.5, 2, 2, W01, window)
+    assert res.value == pytest.approx(math.sqrt(2.0), rel=1e-12, abs=0.0)
+    assert not res.diverged and res.tail_bound > 0.0
 
 
 def test_no_tail_beyond_an_edge_the_support_does_not_cross():
@@ -320,8 +340,6 @@ def test_space_spec_validation():
 
 
 def test_absolute_homogeneity_all_norms():
-    f = indicator_shell(1, 0.5, 2.0)
-    c = -2.5
     evals = [
         lambda g: herz_norm(g, 0.3, 2, 2, W01).value,
         lambda g: morrey_herz_norm(g, 0.1, 0.4, 2, 2, W01).value,
@@ -331,8 +349,14 @@ def test_absolute_homogeneity_all_norms():
         lambda g: two_weight_morrey_herz_norm(g, 0.1, 0.4, 2, 2, W01, W01).value,
         lambda g: lq_norm(g, 2, W01),
     ]
-    for ev in evals:
-        assert ev(f.scaled(c)) == pytest.approx(abs(c) * ev(f), rel=1e-12)
+    power = separable(1, lambda r: np.asarray(r, dtype=float) ** 0.7, support=(0.0, 3.0), exponents=(0.7, None))
+    for f, ev in itertools.product((indicator_shell(1, 0.5, 2.0), power), evals):
+        base = ev(f)
+        assert ev(f.scaled(-2.5)) == pytest.approx(2.5 * base, rel=1e-12)
+        # at p = q = 2 a power-of-two scaling scales every integral, partial sum and
+        # root exactly, so one engine leaves no room for rounding
+        for c in (2.0, 0.5, -8.0):
+            assert ev(f.scaled(c)) == abs(c) * base
 
 
 @pytest.mark.parametrize("kind,params", [
