@@ -10,12 +10,12 @@ Conventions shared by every evaluator:
     The Herz-type kinds take no prefactor, so their supremum is the whole
     sum; L^q is the Herz norm at alpha = 0, p = q.  The Morrey kinds are the
     same supremum at alpha = 0, q = p over the quarter-dyadic grid of radii
-    R = 2^(j/4), with a ball-mass power as prefactor.  Past each edge f's
-    support crosses, the terms continue geometrically at the ratio of the
-    last two (``_edge_ratio``): the mass below the window joins every
-    partial sum, however small, the supremum beyond it is in closed form
-    (``_right_sup``), and a norm whose continuation fails to settle is
-    reported divergent rather than silently truncated.
+    R = 2^(j/4), with a ball-mass power as prefactor.  Below the window the
+    grid reaches down to a support bounded away from 0.  Past each other
+    edge f's support crosses, the terms continue at the ratio of the last
+    two (``_edge_ratio``): the mass below the window joins every partial
+    sum, however small, the supremum beyond it is in closed form
+    (``_right_sup``), and a continuation that fails to settle is divergent.
   * Every norm reduces to integrals of |f|^q w over shells a < |x| < b
     (dyadic annuli, or the segments between grid radii), computed by one
     helper, ``_shell_integrals``.  It clips each shell to f's support,
@@ -158,13 +158,14 @@ def _log2_ball_power(w: Weight, s: float) -> tuple[float, float]:
 
 def _edge_ratio(terms: np.ndarray) -> float:
     """The per-step ratio rho of the terms beyond the last of ``terms`` (pass
-    them reversed for the left edge): 0 when the edge term is 0, 1/2 for a
-    lone edge term, otherwise the ratio of the last two terms (exact for the
-    geometric shell terms of a pure power)."""
+    them reversed for the left edge): 0 when the edge term is 0, inf for a
+    lone edge term (it shows no rate, so the norm is not certified),
+    otherwise the ratio of the last two terms (exact for the geometric shell
+    terms of a pure power)."""
     if terms[-1] == 0.0:
         return 0.0
     if len(terms) < 2 or terms[-2] == 0.0:
-        return 0.5
+        return math.inf
     return float(terms[-1] / terms[-2])
 
 
@@ -219,12 +220,15 @@ def _dyadic_norm(
     as their log2 (a, b) = a k + b: ``weight`` and ``prefactor`` (a <= 0, so
     the prefactor falls by s = -a / per_octave per step).
 
-    Beyond each edge that f's support crosses, the terms continue
-    geometrically at that side's ``_edge_ratio``.  The mass below the window,
-    tau_first rho_L / (1 - rho_L), is added to every partial sum; beyond the
-    right edge the supremand is the prefactor at the window's last point
-    times ``_right_sup``^{1/p}, with u = 2^{-p s}.  The norm diverges when
-    the supremand grows outward by more than 2^{1e-9} per step (the
+    The grid reaches down to the shell holding a positive support start
+    below the window (at most 64 octaves); beyond each grid edge f's support
+    crosses, the terms continue geometrically at that side's ``_edge_ratio``
+    (inf also for a left edge term of 0 under a power law f declares at 0).
+    The mass below the window, the terms below it plus tau_first rho_L /
+    (1 - rho_L), joins every partial sum; beyond the right edge the
+    supremand is the prefactor at the window's last point times
+    ``_right_sup``^{1/p}, with u = 2^{-p s}.  The norm diverges when the
+    supremand grows outward by more than 2^{1e-9} per step (the
     scale-invariant extremals sit exactly at 1), or, undamped, when the
     terms decay by less than 0.9999 per step.
 
@@ -237,14 +241,20 @@ def _dyadic_norm(
     k_min, k_max = window
     if k_min > k_max:
         raise ValueError(f"window [{k_min}, {k_max}] needs k_min <= k_max")
-    js = np.arange(per_octave * k_min, per_octave * k_max + 1)
-    ks = js / per_octave
-    edges = 2.0 ** (np.arange(js[0] - 1, js[-1] + 1) / per_octave)
+    j_lo, j_hi = per_octave * k_min, per_octave * k_max
+    slo = f.support[0]
+    # the grid reaches down to the shell holding a positive support start below the window
+    j0 = min(j_lo, max(math.ceil(per_octave * math.log2(slo)), j_lo - 64 * per_octave)) if slo > 0.0 else j_lo
+    ks = np.arange(j0, j_hi + 1) / per_octave
+    edges = 2.0 ** (np.arange(j0 - 1, j_hi + 1) / per_octave)
     integrals = _shell_integrals(f, q, w_chunk, edges, NORM_TOL, (10, 21) if per_octave == 1 else (6, 13))
     tau = 2.0 ** (p * (weight[0] * ks + weight[1])) * integrals ** (p / q)
+    i0 = j_lo - j0  # the window's terms are tau[i0:]
     root = 1.0 / p
     # no terms lie beyond an edge that f's support does not cross
-    rho_l = _edge_ratio(tau[::-1]) if f.support[0] < edges[0] else 0.0
+    rho_l = _edge_ratio(tau[::-1]) if slo < edges[0] else 0.0
+    if slo == 0.0 and tau[0] == 0.0 and f.radial_exponent_at_zero not in (None, math.inf):
+        rho_l = math.inf  # f declares a power law at 0, yet its edge term shows none
     rho_r = _edge_ratio(tau) if f.support[1] > edges[-1] else 0.0
     herz = prefactor is None
     a, b = prefactor or (0.0, 0.0)
@@ -255,18 +265,18 @@ def _dyadic_norm(
         reasons.append(f"left shell terms fail to decay (ratio {rho_l:.6g} per step, slope {s:g})")
     if (u * rho_r) ** root > 2.0 ** 1e-9 or (u == 1.0 and rho_r >= 0.9999):
         reasons.append(f"right shell terms fail to decay (ratio {rho_r:.6g} per step, slope {s:g})")
-    partial = np.cumsum(tau)
-    prefac = 2.0 ** (a * ks + b)
-    own = float(tau.sum()) ** root if herz else float(np.max(prefac * partial ** root))
+    partial = np.cumsum(tau[i0:])
+    prefac = 2.0 ** (a * ks[i0:] + b)
+    own = float(tau[i0:].sum()) ** root if herz else float(np.max(prefac * partial ** root))
     value, attained, continued = own, None, math.inf
     if not reasons:
-        left = tau[0] * rho_l / (1.0 - rho_l)
+        left = tau[:i0].sum() + tau[0] * rho_l / (1.0 - rho_l)
         vals = prefac * (left + partial) ** root
         idx = int(np.argmax(vals))
         beyond = prefac[-1] * _right_sup(left + partial[-1], tau[-1], rho_r, u) ** root
         continued = max(float(vals[idx]), beyond)
         if not herz:
-            value, attained = continued, (int(js[idx]) if vals[idx] >= beyond else None)
+            value, attained = continued, (int(j_lo + idx) if vals[idx] >= beyond else None)
     result = NormResult(value, k_min, k_max, max(continued - own, 0.0), attained, bool(reasons))
     if reasons and strict:
         label = "Herz-type sum" if herz else "Morrey-type supremum"

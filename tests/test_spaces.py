@@ -67,6 +67,46 @@ def test_lq_kind_honours_strict_and_reports_its_tail():
     assert res.value + res.tail_bound == pytest.approx(2.0, rel=1e-10)
 
 
+@pytest.mark.parametrize("window", [(0, 4), (-1, 4), (-2, 4)])
+def test_mass_below_a_window_inside_the_support_is_computed(window):
+    # 1 on (0.4, 1], n = 1, p = 2: w(B_R) = 2R, so the central Morrey supremand is
+    # (2 min(R, 1) - 0.8)^(1/2) (2R)^(-0.4) at lambda = -0.1, largest at R = 1, and the
+    # Morrey-Herz one (alpha = 0, lambda = 1) is sqrt(1.2) at k0 = 0.  The grid reaches
+    # down to the shell holding 0.4, so the mass below the window is integrated, not
+    # continued from a lone edge term
+    f = indicator_shell(1, 0.4, 1.0)
+    cm = central_morrey_norm(f, 2, -0.1, W01, window)
+    assert cm.value == pytest.approx(math.sqrt(1.2 * 2.0 ** -0.8), rel=1e-12, abs=0.0) and cm.attained_at == 0
+    mh = morrey_herz_norm(f, 0.0, 1.0, 2, 2, W01, window)
+    assert mh.value == pytest.approx(math.sqrt(1.2), rel=1e-12, abs=0.0) and mh.attained_at == 0
+
+
+@pytest.mark.parametrize("cuts", [(2.0 ** -4, 1.0, 2.0), (1.0, 8.0, 32.0)], ids=["left", "right"])
+def test_a_lone_edge_term_is_not_certified(cuts):
+    # 1 on (0, c0] and (c1, c2]: the window's edge shell (1/32, 1/16] or (8, 16] holds
+    # f's support, which crosses that edge, and its inner neighbour is empty, so the one
+    # term shows no rate to continue (ratio inf) and the norm is not certified
+    c0, c1, c2 = cuts
+    f = separable(1, lambda r: np.where((r <= c0) | ((r > c1) & (r <= c2)), 1.0, 0.0),
+                  support=(0.0, c2), exponents=(0.0, None), jumps=(c0, c1))
+    res = herz_norm(f, 0.0, 2, 2, W01, (-4, 4), strict=False)
+    assert res.diverged and res.tail_bound == math.inf
+    with pytest.raises(NormDivergentError, match=r"^[^;]*ratio inf[^;]*$"):
+        morrey_herz_norm(f, 0.0, 0.25, 2, 2, W01, (-4, 4))
+
+
+def test_a_zero_edge_term_under_a_declared_power_at_0_is_not_certified():
+    # 1 on (0, 2^-30] and (1, 2], declared ~ r^0 at 0: the Morrey-Herz supremand
+    # (lambda = 1/2) is sqrt(2) for every k0 <= -30.  On (-24, 24) the left edge term
+    # is 0 and shows nothing of that mass, so the norm is not certified; on (-32, 24)
+    # the terms continue at their own ratio
+    f = separable(1, lambda r: np.where((r <= 2.0 ** -30) | ((r > 1.0) & (r <= 2.0)), 1.0, 0.0),
+                  support=(0.0, 2.0), exponents=(0.0, None), jumps=(2.0 ** -30, 1.0))
+    assert morrey_herz_norm(f, 0.0, 0.5, 2, 2, W01, (-24, 24), strict=False).diverged
+    res = morrey_herz_norm(f, 0.0, 0.5, 2, 2, W01, (-32, 24))
+    assert res.value == pytest.approx(math.sqrt(2.0), rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("f", [
     QUARTER,
     TestFunction(dim=1, general=lambda x: np.exp(-np.linalg.norm(x, axis=1))),
@@ -354,7 +394,9 @@ def test_absolute_homogeneity_all_norms():
         base = ev(f)
         assert ev(f.scaled(-2.5)) == pytest.approx(2.5 * base, rel=1e-12)
         # at p = q = 2 a power-of-two scaling scales every integral, partial sum and
-        # root exactly, so one engine leaves no room for rounding
+        # root exactly, so one engine leaves no room for rounding.  This needs f and
+        # c f to refine to the same panels: the panel test is partly absolute
+        # (err <= tol), and both inputs are accepted at the same levels under NORM_TOL
         for c in (2.0, 0.5, -8.0):
             assert ev(f.scaled(c)) == abs(c) * base
 
