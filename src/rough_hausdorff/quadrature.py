@@ -7,9 +7,12 @@ form, and every 1-D integral of the package goes through it.  Each
 integral's bounded block of panels has endpoints at powers of two (this
 keeps the jump points of the indicator presets, in particular t = 1, on
 panel boundaries), and the blocks of all integrals are refined together,
-one tree level per integrand call.  A level is held in memory, so one
-integral may hold at most ``_MAX_PANELS`` live panels at a level; a
-refinement that outruns its tolerances raises ToleranceNotMetError there.
+one tree level per integrand call.  Every panel of every integral runs
+under one rule pair, the Gauss-Kronrod pair G10/K21 of QUADPACK: 21 nodes,
+valued by K21, with G10 on its Gauss subset as the error estimate.  A level
+is held in memory, so one integral may hold at most ``_MAX_PANELS`` live
+panels at a level; a refinement that outruns its tolerances raises
+ToleranceNotMetError there.
 An endpoint at 0 or infinity expands outward in u = ln t, so that
 power-law behaviour becomes exponential decay in u, panels widening
 geometrically once the integrand is in its power-law regime, until either
@@ -81,52 +84,53 @@ def _gl(order: int) -> tuple[np.ndarray, np.ndarray]:
     return _GL_CACHE[order]
 
 
-_PAIRS: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
-
-
-def _pair(orders: tuple[int, int]) -> tuple[np.ndarray, ...]:
-    """(low nodes, low weights, high nodes, high weights, low then high nodes)
-    of a Gauss-Legendre rule pair."""
-    if orders not in _PAIRS:
-        (xlo, wlo), (xhi, whi) = _gl(orders[0]), _gl(orders[1])
-        _PAIRS[orders] = (xlo, wlo, xhi, whi, np.concatenate((xlo, xhi)))
-    return _PAIRS[orders]
-
+# The G10/K21 pair of QUADPACK (Piessens, de Doncker-Kapenga, Ueberhuber & Kahaner, 1983) on [-1, 1], by symmetry:
+# the positive K21 nodes outside in (the 2nd, 4th, ... are G10's), their K21 weights and the one at 0, G10's weights.
+_XK = (0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845, 0.7808177265864169,
+       0.6794095682990244, 0.5627571346686047, 0.4333953941292472, 0.2943928627014602, 0.14887433898163122)
+_WK = (0.011694638867371874, 0.032558162307964725, 0.054755896574351995, 0.07503967481091996, 0.0931254545836976,
+       0.10938715880229764, 0.12349197626206584, 0.13470921731147334, 0.14277593857706009, 0.14773910490133849,
+       0.1494455540029169)
+_WG = (0.06667134430868814, 0.1494513491505806, 0.21908636251598204, 0.26926671930999635, 0.29552422471475287)
+_NODES = np.concatenate((np.negative(_XK), [0.0], _XK[::-1]))  # ascending; the G10 nodes are _NODES[1::2]
+_K21 = np.concatenate((_WK, _WK[-2::-1]))
+_G10 = np.concatenate((_WG, _WG[::-1]))
 
 _REL_FLOOR = 5e-15  # no panel is refined below machine precision x its L1 mass
 _REL = 1e-12  # every interval integral is accepted at max(tol, _REL |value|)
 _MAX_PANELS = 4000  # live panels of one integral at one tree level; expansion panels per side
-# first-level panels per breadth-first block of integrate_intervals.  A level's arrays then
-# stay near 64 KB: at 512 (127 KB) one run of the bundled campaign took about 300,000 minor
-# page faults as glibc trimmed and regrew its heap, at 256 about 500
+# first-level panels per breadth-first block of integrate_intervals: a level's arrays stay near 43 KB.
+# With 31 nodes per panel, 512 (127 KB) made one run of the bundled campaign take about 300,000 minor
+# page faults as glibc trimmed and regrew its heap, and 256 (64 KB) about 500
 _BLOCK_PANELS = 256
+_SPHERE_TOP = {2: 11, 3: 7}  # the finest sphere rule level: 32,768 nodes on S^1, 2,097,152 on S^2
 
 
-def _judge(glo, ghi, half, tol, depth: int, pair: tuple[np.ndarray, ...]):
+def _judge(gx, half, tol, depth: int):
     """The rule pair and acceptance test of the adaptive panel loop.
 
-    ``glo`` / ``ghi`` hold the integrand at the low- and high-order nodes of
-    ``pair`` on a stack of panels (one row each), ``half`` the panel
-    half-widths.  Returns (values, error estimates, accepted).  The rule sums
-    are einsum loops, not BLAS: those sum a row in the same order however
-    many rows the stack has, so no integral depends on the others in a call.
+    ``gx`` holds the integrand at the 21 nodes ``_NODES`` on a stack of
+    panels (one row each), ``half`` the panel half-widths.  Returns (K21
+    values, their distances from G10, accepted).  The rule sums are einsum
+    loops, not BLAS: those sum a row in the same order however many rows the
+    stack has, so no integral depends on the others in a call.
     """
-    vhi = half * np.einsum("...j,j->...", ghi, pair[3])
-    err = abs(vhi - half * np.einsum("...j,j->...", glo, pair[1]))
+    vhi = half * np.einsum("...j,j->...", gx, _K21)
+    err = abs(vhi - half * np.einsum("...j,j->...", gx[..., 1::2], _G10))
     accepted = err <= tol
     if not accepted.all():
-        sabs = np.einsum("...j,j->...", np.abs(ghi), pair[3])
+        sabs = np.einsum("...j,j->...", np.abs(gx), _K21)
         accepted = accepted | (err <= _REL_FLOOR * (half * sabs)) | (depth >= 48) | (half <= 1e-300)
     return vhi, err, accepted
 
 
 def _panels_breadth_first(g, a: np.ndarray, b: np.ndarray, tol: np.ndarray, owner: np.ndarray,
-                          count: int, orders: tuple[int, int] = (10, 21)) -> tuple[np.ndarray, np.ndarray]:
-    """Adaptive Gauss-Legendre on many panels at once, one tree level per integrand call.
+                          count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Adaptive Gauss-Kronrod on many panels at once, one tree level per integrand call.
 
     Panel j spans [a[j], b[j]] with tolerance tol[j] and belongs to integral
     owner[j] < count; ``g(x, owner)`` evaluates each point x under the
-    integral named by its owner.  A panel whose two rules ``orders``
+    integral named by its owner.  A panel whose rules G10 and K21
     disagree by more than its tolerance is bisected and each half gets half
     the tolerance, so bisection only triggers at interior non-smooth
     points.  Every panel gets the tree a depth-first recursion would build;
@@ -138,18 +142,15 @@ def _panels_breadth_first(g, a: np.ndarray, b: np.ndarray, tol: np.ndarray, owne
     ``_MAX_PANELS`` live panels at one level: the whole level is in memory,
     so a refinement that outruns its tolerances must stop there.
     """
-    pair = _pair(orders)
-    nodes = pair[4]
-    nlo = len(pair[0])
     value = np.zeros(count)
     err = np.zeros(count)
     depth = 0
     while a.size:
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
-        x = mid[:, None] + half[:, None] * nodes
-        gx = np.asarray(g(x.ravel(), owner.repeat(len(nodes))), dtype=float).reshape(x.shape)
-        v, e, accepted = _judge(gx[:, :nlo], gx[:, nlo:], half, tol, depth, pair)
+        x = mid[:, None] + half[:, None] * _NODES
+        gx = np.asarray(g(x.ravel(), owner.repeat(len(_NODES))), dtype=float).reshape(x.shape)
+        v, e, accepted = _judge(gx, half, tol, depth)
         if accepted.all():
             return value + np.bincount(owner, v, count), err + np.bincount(owner, e, count)
         value += np.bincount(owner[accepted], v[accepted], count)
@@ -173,8 +174,7 @@ def _panel_tol(tol: float, j):
     return np.maximum(tol / (7.0 * (1.0 + j * j)), 1e-17)
 
 
-def _expand(g, edge: float, direction: int, tol: float, rho_oct: float | None,
-            orders: tuple[int, int], value: float) -> tuple[float, float, float]:
+def _expand(g, edge: float, direction: int, tol: float, rho_oct: float | None, value: float) -> tuple[float, float, float]:
     """Outward panel expansion from ``edge`` toward 0 (direction -1) or infinity (+1).
 
     ``g(x, owner)`` is the integrand, called with owner 0; each step is one
@@ -204,7 +204,7 @@ def _expand(g, edge: float, direction: int, tol: float, rho_oct: float | None,
         else:
             a, b = edge * 2.0 ** (-width), edge
         v, e = _panels_breadth_first(gu, np.array([math.log(a)]), np.array([math.log(b)]),
-                                     np.atleast_1d(_panel_tol(tol, step)), np.zeros(1, dtype=int), 1, orders)
+                                     np.atleast_1d(_panel_tol(tol, step)), np.zeros(1, dtype=int), 1)
         v, e = float(v[0]), float(e[0])
         total += v
         err += e
@@ -273,12 +273,11 @@ def integrate_interval(
     tol: float,
     exponent_at_zero: float | None = None,
     exponent_at_infinity: float | None = None,
-    orders: tuple[int, int] = (10, 21),
     align: tuple[float, ...] = (),
 ) -> QuadratureResult:
     """Integrate g over (a, b), 0 <= a < b <= inf: the one-row form of ``integrate_intervals``."""
     res = integrate_intervals(lambda x, i: g(x), [a], [b], tol, exponent_at_zero, exponent_at_infinity,
-                              orders, [align] if len(align) else None)
+                              [align] if len(align) else None)
     return QuadratureResult(float(res.value[0]), float(res.abs_error_estimate[0]), float(res.tail_bound[0]))
 
 
@@ -289,7 +288,6 @@ def integrate_intervals(
     tol: float,
     exponent_at_zero: float | None = None,
     exponent_at_infinity: float | None = None,
-    orders: tuple[int, int] = (10, 21),
     align: np.ndarray | None = None,
 ) -> QuadratureResult:
     """Integrate over many intervals (a[i], b[i]), 0 <= a[i] < b[i] <= inf, in one solve.
@@ -301,12 +299,12 @@ def integrate_intervals(
     two and at the finite entries of ``align[i]`` (known jump locations: a
     jump hiding in the node-free gap at a panel edge would otherwise defeat
     the two-rule error estimate); panel j gets the tolerance
-    ``_panel_tol(tol, j)``.  The blocks of all
-    integrals are refined together by ``_panels_breadth_first`` under the
-    rule pair ``orders``, in consecutive batches of whole integrals holding
-    at most ``_BLOCK_PANELS`` first-level panels by the count dyadic cuts +
-    align columns + 1 (one integral with more forms a batch alone), so the
-    working arrays stay bounded however many integrals one call carries.
+    ``_panel_tol(tol, j)``.  The blocks of all integrals are refined
+    together by ``_panels_breadth_first``, in consecutive batches of whole
+    integrals holding at most ``_BLOCK_PANELS`` first-level panels by the
+    count dyadic cuts + align columns + 1 (one integral with more forms a
+    batch alone), so the working arrays stay bounded however many integrals
+    one call carries.
     An integral reaching 0 or inf then expands outward from its block
     (``_expand``).  ``exponent_at_zero`` / ``exponent_at_infinity`` declare
     the integrand ~ t^e of the integrals reaching that end: they certify
@@ -346,7 +344,7 @@ def integrate_intervals(
         blk = slice(start, stop)
         lo, hi, panel_tol, owner = _first_panels(inner[blk], outer[blk], klo[blk], khi[blk], extra[blk], tol)
         value[blk], err[blk] = _panels_breadth_first(lambda x, i, first=start: g(x, i + first), lo, hi,
-                                                     panel_tol, owner, stop - start, orders)
+                                                     panel_tol, owner, stop - start)
         start = stop
 
     tail = np.zeros(count)
@@ -355,7 +353,7 @@ def integrate_intervals(
         for edge, direction, exponent, reaches in sides:
             if reaches[i]:
                 v, e, t = _expand(lambda x, o, i=i: g(x, o + i), float(edge[i]), direction, tol,
-                                  _rho_per_octave(exponent, direction), orders, float(value[i]))
+                                  _rho_per_octave(exponent, direction), float(value[i]))
                 value[i] += v
                 err[i] += e
                 tail[i] += t
@@ -429,10 +427,10 @@ def integrate_sphere(n: int, g: Callable[[np.ndarray], np.ndarray], tol: float) 
         pts, w = sphere_nodes(1, 0)
         vals = np.asarray(g(pts), dtype=float)
         return QuadratureResult(float(np.dot(w, vals)), 0.0, 0.0)
-    if n not in (2, 3):
+    if n not in _SPHERE_TOP:
         raise ValueError("sphere quadrature implemented for n in {1, 2, 3}")
     prev = None
-    for level in range(0, 12 if n == 2 else 8):
+    for level in range(_SPHERE_TOP[n] + 1):
         pts, w = sphere_nodes(n, level)
         val = float(np.dot(w, np.asarray(g(pts), dtype=float)))
         if prev is not None:
@@ -522,25 +520,28 @@ def integrate_shells(
 def _sphere_levels(n: int, f, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     """Per shell, the sphere rule level one above the first level whose
     refinement moves the sphere sum of f by at most max(1e-3 tol,
-    0.1 tol / max(b - a, 1)) at all five probe radii (level 9 if none does)."""
+    0.1 tol / max(b - a, 1)) at all five probe radii.  Raises
+    ToleranceNotMetError when a shell is still undecided at ``_SPHERE_TOP``."""
     level = np.zeros(len(a), dtype=int)
     if n == 1:
         return level
+    if n not in _SPHERE_TOP:
+        raise ValueError("sphere quadrature implemented for n in {1, 2, 3}")
     finite = np.isfinite(b)
     lo = np.where(a > 0, a, np.where(finite, b / 64.0, 2.0 ** -6))
     hi = np.where(finite, b, np.maximum(2.0 * lo, 2.0 ** 6))
     probes = np.geomspace(np.maximum(lo, 1e-12), hi, 5, axis=1)
     gate = np.maximum(tol * 1e-3, tol / np.maximum(np.where(finite, b - a, 1.0), 1.0) * 0.1)
     undecided = np.arange(len(a))
-    for lv in range(10):
+    for lv in range(_SPHERE_TOP[n]):
         r = probes[undecided].ravel()
         change = _sphere_sums(f, r, *sphere_nodes(n, lv)) - _sphere_sums(f, r, *sphere_nodes(n, lv + 1))
         done = np.abs(change).reshape(-1, 5).max(axis=1) <= gate[undecided]
-        level[undecided] = np.where(done, lv + 1, lv)
+        level[undecided[done]] = lv + 1
         undecided = undecided[~done]
         if not undecided.size:
-            break
-    return level
+            return level
+    raise ToleranceNotMetError(f"sphere rule undecided at level {_SPHERE_TOP[n]}")
 
 
 def _sphere_sums(f, radii: np.ndarray, pts: np.ndarray, w: np.ndarray) -> np.ndarray:

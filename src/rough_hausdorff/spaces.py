@@ -91,18 +91,17 @@ def _sphere_factor(f: TestFunction, q: float, w: Weight, tol: float) -> float:
     return integrate_sphere(f.dim, g, tol).value
 
 
-def _shell_integrals(f: TestFunction, q: float, w: Weight, edges, tol: float,
-                     orders: tuple[int, int] = (10, 21)) -> np.ndarray:
-    """integral of |f|^q w over each shell edges[i] < |x| < edges[i+1].
+def _shell_integrals(f: TestFunction, q: float, w: Weight, edges) -> np.ndarray:
+    """integral of |f|^q w over each shell edges[i] < |x| < edges[i+1], at ``NORM_TOL``.
 
     Each shell is clipped to f.support and skipped when that leaves it
     empty; the others are one solve.  A separable f is a radial integral
-    per shell, all in one ``integrate_intervals`` call under the rule pair
-    ``orders``, times one sphere factor; any other f is one
-    ``integrate_shells`` call.  Both declare |f|^q w ~ r^{q e + gamma} at 0
-    and infinity, e being f's radial exponent there.
+    per shell, all in one ``integrate_intervals`` call, times one sphere
+    factor; any other f is one ``integrate_shells`` call.  Both declare
+    |f|^q w ~ r^{q e + gamma} at 0 and infinity, e being f's radial
+    exponent there.
     """
-    align = f.cut_radii
+    align, tol = f.cut_radii, NORM_TOL
     edges = np.asarray(edges, dtype=float)
     slo, shi = f.support
     lo, hi = np.maximum(edges[:-1], slo), np.minimum(edges[1:], shi)
@@ -123,7 +122,7 @@ def _shell_integrals(f: TestFunction, q: float, w: Weight, edges, tol: float,
             return np.abs(f.radial_values(r)) ** q * r ** expo
 
         cuts = np.tile(align, (len(lo), 1)) if align else None
-        radial_integrals = integrate_intervals(radial, lo, hi, tol, e0, einf, orders, cuts).value
+        radial_integrals = integrate_intervals(radial, lo, hi, tol, e0, einf, cuts).value
         out[live] = radial_integrals * _sphere_factor(f, q, w, tol)
     else:
         out[live] = integrate_shells(f.dim, lambda x: np.abs(f(x)) ** q * w(x), lo, hi, tol, e0, einf, align).value
@@ -141,7 +140,7 @@ def lq_norm(
     all of R^n it is the Herz norm at alpha = 0, p = q."""
     _check("Lq", q)
     if isinstance(region, (Ball, Annulus, Shell)):
-        return float(_shell_integrals(f, q, w, _radial_bounds(region), NORM_TOL)[0]) ** (1.0 / q)
+        return float(_shell_integrals(f, q, w, _radial_bounds(region))[0]) ** (1.0 / q)
     if region != "all":
         raise ValueError(f"unknown region {region!r}")
     return herz_norm(f, 0.0, q, q, w, window).value
@@ -215,10 +214,10 @@ def _dyadic_norm(
     terms tau_k = 2^{p W(k)} ||f chi_k||_{q, w_chunk}^p.
 
     The shells are 2^{k - 1/per_octave} < |x| <= 2^k for the grid points k =
-    j / per_octave of the window, under the rule pair G10/G21 on octave
-    shells and G6/G13 on finer ones.  W and P are powers of the radius, given
-    as their log2 (a, b) = a k + b: ``weight`` and ``prefactor`` (a <= 0, so
-    the prefactor falls by s = -a / per_octave per step).
+    j / per_octave of the window, on every grid under the engine's one rule
+    pair G10/K21.  W and P are powers of the radius, given as their log2
+    (a, b) = a k + b: ``weight`` and ``prefactor`` (a <= 0, so the prefactor
+    falls by s = -a / per_octave per step).
 
     The grid reaches down to the shell holding a positive support start
     below the window (at most 64 octaves); beyond each grid edge f's support
@@ -247,7 +246,7 @@ def _dyadic_norm(
     j0 = min(j_lo, max(math.ceil(per_octave * math.log2(slo)), j_lo - 64 * per_octave)) if slo > 0.0 else j_lo
     ks = np.arange(j0, j_hi + 1) / per_octave
     edges = 2.0 ** (np.arange(j0 - 1, j_hi + 1) / per_octave)
-    integrals = _shell_integrals(f, q, w_chunk, edges, NORM_TOL, (10, 21) if per_octave == 1 else (6, 13))
+    integrals = _shell_integrals(f, q, w_chunk, edges)
     tau = 2.0 ** (p * (weight[0] * ks + weight[1])) * integrals ** (p / q)
     i0 = j_lo - j0  # the window's terms are tau[i0:]
     root = 1.0 / p

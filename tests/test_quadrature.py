@@ -1,6 +1,8 @@
 import math
 import time
 import tracemalloc
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,8 +15,13 @@ from rough_hausdorff.quadrature import (
     Shell,
     ToleranceNotMetError,
     _BLOCK_PANELS,
+    _G10,
+    _K21,
+    _NODES,
+    _WG,
+    _WK,
+    _XK,
     _judge,
-    _pair,
     _panels_breadth_first,
     integrate_interval,
     integrate_intervals,
@@ -119,6 +126,84 @@ def test_power_pair_halfline_matches_antiderivative(e0, einf):
     assert res.value == pytest.approx(expected, rel=1e-7)
 
 
+def test_gauss_kronrod_pair_integrates_monomials():
+    nodes, gauss = _NODES, _NODES[1::2]
+    assert np.all(np.diff(nodes) > 0) and np.array_equal(nodes, -nodes[::-1]) and nodes[10] == 0.0
+    assert np.array_equal(_K21, _K21[::-1]) and np.array_equal(_G10, _G10[::-1])
+    for rule_nodes, weights, degree in ((nodes, _K21, 31), (gauss, _G10, 19)):
+        for d in range(degree + 2):
+            miss = abs(weights @ rule_nodes ** d - (2.0 / (d + 1) if d % 2 == 0 else 0.0))
+            assert miss > 1e-13 if d == degree + 1 else miss <= 1e-15, (len(weights), d, miss)
+
+
+def _solve(a, b):
+    """Gaussian elimination with partial pivoting, in the arithmetic of the entries."""
+    m = [list(row) + [rhs] for row, rhs in zip(a, b)]
+    n = len(m)
+    for c in range(n):
+        p = max(range(c, n), key=lambda r: abs(m[r][c]))
+        m[c], m[p] = m[p], m[c]
+        for r in range(c + 1, n):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    x = [0] * n
+    for r in reversed(range(n)):
+        x[r] = (m[r][n] - sum(m[r][k] * x[k] for k in range(r + 1, n))) / m[r][r]
+    return x
+
+
+def _poly(coeffs, x):
+    """(value, derivative) of sum coeffs[i] x^i by Horner's rule."""
+    v = d = 0
+    for c in reversed(coeffs):
+        d = d * x + v
+        v = v * x + c
+    return v, d
+
+
+def test_gauss_kronrod_table_is_the_correctly_rounded_pair():
+    # recomputed in 40-digit decimals: the G10 nodes are the roots of P10, the
+    # other K21 nodes those of the Stieltjes polynomial E11 (x^11 + odd powers,
+    # orthogonal to x^k P10 for k < 11); the K21 weights make K21 exact on
+    # x^0 ... x^20, the G10 weights are 2 / ((1 - x^2) P10'(x)^2).  Every
+    # literal must be the float nearest its value, so a changed digit fails
+    # here even where the moments cannot see it.
+    moment = lambda k: Fraction(2, k + 1) if k % 2 == 0 else Fraction(0)  # of x^k on [-1, 1]
+    p0, p10 = [Fraction(1)], [Fraction(0), Fraction(1)]
+    for k in range(1, 10):  # Bonnet's recurrence; coefficients from the constant term up
+        p0, p10 = p10, [((2 * k + 1) * a - k * b) / (k + 1) for a, b in zip([0] + p10, p0 + [0, 0])]
+    odd = range(1, 11, 2)
+    inner = lambda j, k: sum(c * moment(i + j + k) for i, c in enumerate(p10))
+    coeffs = _solve([[inner(j, k) for j in odd] for k in odd], [-inner(11, k) for k in odd])
+    e11 = [Fraction(0)] * 11 + [Fraction(1)]
+    for j, c in zip(odd, coeffs):
+        e11[j] = c
+    with localcontext() as ctx:
+        ctx.prec = 40
+
+        def positive_roots(poly):
+            dec = [Decimal(c.numerator) / c.denominator for c in poly]
+            roots = []
+            for x in np.roots([float(c) for c in reversed(poly)]).real:
+                x = Decimal(x)
+                for _ in range(8):  # Newton from float guesses: 1e-13 -> below 1e-40
+                    v, d = _poly(dec, x)
+                    x -= v / d
+                roots.append(x)
+            return sorted((x for x in roots if x > Decimal("1e-3")), reverse=True)
+
+        gauss = positive_roots(p10)
+        kronrod = sorted(gauss + positive_roots(e11), reverse=True)
+        wk = _solve([[2 * x ** d for x in kronrod] + [Decimal(int(d == 0))] for d in range(0, 21, 2)],
+                    [Decimal(2) / (d + 1) for d in range(0, 21, 2)])
+        dp10 = [Decimal(i * c.numerator) / c.denominator for i, c in enumerate(p10)][1:]
+        wg = [2 / ((1 - x * x) * _poly(dp10, x)[0] ** 2) for x in gauss]
+    assert _XK == tuple(float(x) for x in kronrod)
+    assert _WK == tuple(float(w) for w in wk)
+    assert _WG == tuple(float(w) for w in wg)
+    assert set(_XK[1::2]) == {float(x) for x in gauss}
+
+
 def _jumpy(c):
     # a jump at c and a kink at 2c force bisection of the panels around them
     def g(t):
@@ -128,23 +213,19 @@ def _jumpy(c):
     return g
 
 
-def _panel(g, a: float, b: float, tol: float, depth: int = 0,
-           orders: tuple[int, int] = (10, 21)) -> tuple[float, float]:
-    """Adaptive Gauss-Legendre on [a, b]; returns (value, error estimate).
+def _panel(g, a: float, b: float, tol: float, depth: int = 0) -> tuple[float, float]:
+    """Adaptive Gauss-Kronrod on [a, b]; returns (value, error estimate).
 
-    Bisection only triggers on disagreement between the low- and high-order
-    rules, i.e. effectively at interior non-smooth points.
+    Bisection only triggers on disagreement between G10 and K21, i.e.
+    effectively at interior non-smooth points.
     """
-    pair = _pair(orders)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    ghi = np.asarray(g(mid + half * pair[2]), dtype=float)
-    glo = np.asarray(g(mid + half * pair[0]), dtype=float)
-    vhi, err, accepted = _judge(glo, ghi, half, tol, depth, pair)
+    vk, err, accepted = _judge(np.asarray(g(mid + half * _NODES), dtype=float), half, tol, depth)
     if accepted:
-        return vhi, err
-    lv, le = _panel(g, a, mid, 0.5 * tol, depth + 1, orders)
-    rv, re = _panel(g, mid, b, 0.5 * tol, depth + 1, orders)
+        return vk, err
+    lv, le = _panel(g, a, mid, 0.5 * tol, depth + 1)
+    rv, re = _panel(g, mid, b, 0.5 * tol, depth + 1)
     return lv + rv, le + re
 
 
@@ -176,7 +257,7 @@ def test_breadth_first_loop_matches_depth_first_panel():
         points += single.points
         assert values[i] == pytest.approx(v, rel=1e-14)
         assert errs[i] == pytest.approx(e, abs=1e-14 * abs(v))
-    assert batched.points == points > 6 * 31  # the same panel trees, with bisection
+    assert batched.points == points > 6 * 21  # the same panel trees, with bisection
 
 
 def test_breadth_first_loop_sums_panels_per_integral():
@@ -200,12 +281,11 @@ def test_intervals_match_interval_with_cuts_and_jumps():
     # the second integral's jump sits on its lower edge, the last one's on a dyadic cut
     align = np.array([[1.7, math.inf], [1.0, 1.2], [0.8, -1.0], [1.0, 2.0]])
     cs = align[:, 0]
-    for orders in ((10, 21), (6, 13)):
-        values = integrate_intervals(lambda x, i: _jumpy(cs[i])(x), a, b, 1e-11, align=align, orders=orders).value
-        for i in range(4):
-            cuts = tuple(c for c in align[i] if math.isfinite(c))
-            ref = integrate_interval(_jumpy(cs[i]), a[i], b[i], 1e-11, orders=orders, align=cuts).value
-            assert values[i] == pytest.approx(ref, rel=1e-14)
+    values = integrate_intervals(lambda x, i: _jumpy(cs[i])(x), a, b, 1e-11, align=align).value
+    for i in range(4):
+        cuts = tuple(c for c in align[i] if math.isfinite(c))
+        ref = integrate_interval(_jumpy(cs[i]), a[i], b[i], 1e-11, align=cuts).value
+        assert values[i] == pytest.approx(ref, rel=1e-14)
 
 
 def test_intervals_reject_reversed_empty_or_nan():
@@ -270,8 +350,8 @@ def test_intervals_cut_at_powers_of_two_in_one_integrand_call():
         return np.ones_like(x)
 
     values = integrate_intervals(g, np.array([1.0, 0.75]), np.array([8.0, 1.5]), 1e-9).value
-    # cuts 1, 2, 4, 8 and 0.75, 1, 1.5: five panels of 31 nodes, accepted at once
-    assert seen == [(5 * 31, [0, 1])]
+    # cuts 1, 2, 4, 8 and 0.75, 1, 1.5: five panels of 21 nodes, accepted at once
+    assert seen == [(5 * 21, [0, 1])]
     np.testing.assert_allclose(values, [7.0, 0.75], rtol=1e-14)
 
 

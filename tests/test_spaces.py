@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rough_hausdorff import spaces
+from rough_hausdorff import quadrature, spaces
 from rough_hausdorff.functions import (
     AngularProfile,
     TestFunction,
@@ -14,7 +14,7 @@ from rough_hausdorff.functions import (
     separable,
 )
 from rough_hausdorff.operators import HausdorffOperator
-from rough_hausdorff.quadrature import Annulus, Ball, integrate_interval
+from rough_hausdorff.quadrature import Annulus, Ball, ToleranceNotMetError, integrate_interval
 from rough_hausdorff.spaces import (
     NormDivergentError,
     SpaceSpec,
@@ -482,6 +482,25 @@ def test_general_path_skips_shells_outside_the_support(monkeypatch):
     assert res.value == pytest.approx(twin.value, rel=1e-9)
 
 
+def test_general_sphere_rule_stops_at_the_top_level(monkeypatch):
+    # sqrt(|x3| / |x|) has a cusp on the equator, so no S^2 rule level settles
+    # its sphere sums to NORM_TOL; the level choice stops at level 7
+    # (2,097,152 nodes), as integrate_sphere does, and never builds level 8
+    # (134,217,728 nodes, 3.2 GB of points)
+    nodes = quadrature.sphere_nodes
+
+    def guarded(n, level):
+        if level > 7:
+            raise AssertionError(f"sphere rule level {level} requested")
+        return nodes(n, level)
+
+    monkeypatch.setattr(quadrature, "sphere_nodes", guarded)
+    cusp = TestFunction(dim=3, general=lambda x: np.sqrt(np.abs(x[:, 2]) / np.sqrt(np.einsum("ij,ij->i", x, x))),
+                        support=(1.0, 2.0), name="equator_cusp")
+    with pytest.raises(ToleranceNotMetError, match="level 7"):
+        lq_norm(cusp, 2.0, Weight.power(0.0, 3))
+
+
 def _both_ends():
     # support (0, inf) with a declared jump at 1.3: ~ r^0.5 at 0, ~ r^-3 at infinity
     def radial(r):
@@ -498,13 +517,13 @@ _MORREY_EDGES = 2.0 ** (np.arange(-20, 17) / spaces.GRID_PER_OCTAVE)
 
 
 @pytest.mark.parametrize("f", [_both_ends(), _CLIPPED], ids=["both_ends", "clipped"])
-@pytest.mark.parametrize("edges,orders", [
-    (np.concatenate(([0.0], _HERZ_EDGES, [math.inf])), (10, 21)),
-    (np.concatenate(([0.0], _MORREY_EDGES, [math.inf])), (6, 13)),
+@pytest.mark.parametrize("edges", [
+    np.concatenate(([0.0], _HERZ_EDGES, [math.inf])),
+    np.concatenate(([0.0], _MORREY_EDGES, [math.inf])),
 ], ids=["herz_window", "morrey_grid"])
-def test_batched_shells_match_per_shell_integrals(f, edges, orders):
-    q, tol = 1.5, 1e-11
-    batched = spaces._shell_integrals(f, q, W_TILT2, edges, tol, orders)
+def test_batched_shells_match_per_shell_integrals(f, edges):
+    q, tol = 1.5, spaces.NORM_TOL
+    batched = spaces._shell_integrals(f, q, W_TILT2, edges)
     sphere = spaces._sphere_factor(f, q, W_TILT2, tol)
     radial = lambda r: np.abs(f.radial_values(r)) ** q * np.asarray(r, dtype=float) ** (W_TILT2.gamma + 1)
     for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
@@ -515,7 +534,7 @@ def test_batched_shells_match_per_shell_integrals(f, edges, orders):
         e0 = q * 0.5 + W_TILT2.gamma + 1 if lo == 0.0 else None
         einf = q * -3.0 + W_TILT2.gamma + 1 if math.isinf(hi) else None
         ref = integrate_interval(radial, lo, hi, tol, exponent_at_zero=e0, exponent_at_infinity=einf,
-                                 orders=orders, align=f.cut_radii).value * sphere
+                                 align=f.cut_radii).value * sphere
         assert batched[i] == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
