@@ -5,12 +5,17 @@ The transform of f at x is
 
     (T f)(x) = int_0^inf int_{S^{n-1}} Phi(t)/t * Omega(y') f(|x| y'/t) dsigma(y') dt,
 
-which depends on x only through |x|.  For separable f = g(|x|) h(x/|x|) the
-sphere factor int Omega h dsigma splits off and the t-integral reduces to a
-one-dimensional quadrature of Phi(t)/t * g(|x|/t) (over s = |x|/t when g
-has bounded support); ``radial_apply`` solves all the radii it is given in
-one ``integrate_intervals`` call.  The nested general path is kept
-alongside and the two must agree.
+which depends on x only through |x|.  Every evaluation runs under the one
+substitution s = |x|/t,
+
+    (T f)(x) = int_0^inf Phi(|x|/s)/s int_{S^{n-1}} Omega(y') f(s y') dsigma(y') ds,
+
+where f's support, jumps and exponents sit at fixed s and only Phi depends
+on the radius.  For separable f = g(|x|) h(x/|x|) the sphere factor
+int Omega h dsigma splits off and ``radial_apply`` solves the s-integral
+of Phi(r/s)/s * g(s) for all the radii it is given in one
+``integrate_intervals`` call.  The nested general path (``apply``) takes
+sphere sums of f in place of g; the two must agree.
 
 Pointwise tolerances are split three ways across nesting levels so the
 composed error stays under the requested tolerance.
@@ -27,6 +32,7 @@ from .functions import AngularProfile, LipschitzSymbol, RadialKernel, TestFuncti
 from .quadrature import (
     Ball,
     Shell,
+    _shift,
     _sphere_sums,
     integrate_intervals,
     integrate_region,
@@ -35,38 +41,16 @@ from .quadrature import (
 )
 
 
-def _combine_exponent_at_zero(phi_e0: float, g_einf: float | None) -> float:
-    """Exponent at t -> 0 of Phi(t)/t * g(c/t)."""
-    if phi_e0 == math.inf or g_einf == -math.inf:
-        return math.inf
-    if g_einf is None:
-        raise ValueError("need the test function's radial exponent at infinity")
-    return phi_e0 - 1.0 - g_einf
-
-
-def _combine_exponent_at_inf(phi_einf: float, g_e0: float | None) -> float:
-    if phi_einf == -math.inf or g_e0 == math.inf:
-        return -math.inf
-    if g_e0 is None:
-        raise ValueError("need the test function's radial exponent at zero")
-    return phi_einf - 1.0 - g_e0
-
-
-def _per_radius(integrand, r: np.ndarray, lo: np.ndarray, hi: np.ndarray, cuts: np.ndarray, tol: float,
-                exponent_at_zero, exponent_at_infinity) -> np.ndarray:
-    """integrand(x, radius) over (lo[k], hi[k]) for every radius r[k], cut
-    at cuts[k], in one ``integrate_intervals`` solve; 0 where the domain is
-    empty.  The two exponent callables give the declared endpoint exponents
-    and are called only when a domain reaches that end."""
-    out = np.zeros(len(r))
-    live = hi > lo
-    if live.any():
-        lo, hi, rl = lo[live], hi[live], r[live]
-        out[live] = integrate_intervals(lambda x, i: integrand(x, rl[i]), lo, hi, tol,
-                                        exponent_at_zero() if (lo == 0.0).any() else None,
-                                        exponent_at_infinity() if np.isinf(hi).any() else None,
-                                        align=cuts[live]).value
-    return out
+def _s_exponent(phi_e: float, f_e: float | None, vanish: float, end: str) -> float:
+    """Declared exponent of Phi(r/s)/s * f(s) at one end of s: -phi_e - 1 + f_e,
+    with phi_e Phi's exponent at the opposite end of t and f_e f's at this
+    end; ``vanish`` (+inf at s -> 0, -inf at s -> inf) when either factor
+    vanishes there."""
+    if -phi_e == vanish or f_e == vanish:
+        return vanish
+    if f_e is None:
+        raise ValueError(f"need the test function's radial exponent at {end}")
+    return -phi_e - 1.0 + f_e
 
 
 @dataclass
@@ -96,10 +80,8 @@ class HausdorffOperator:
         """The radial profile of the output at radius r (separable input).
 
         ``r`` is a float, giving a float, or an array of radii, giving an
-        array of values; all radii are one ``integrate_intervals`` solve.  A
-        bounded radial factor is integrated over s = r/t, whose domain is its
-        support clipped to (r / sup supp Phi, r / inf supp Phi); an unbounded
-        one over t.  Either is cut at the factor's declared jumps.
+        array of values; all radii are one ``_s_integral`` solve of
+        Phi(r/s)/s * g(s) over s = r/t.
         """
         if not f.separable:
             raise ValueError("radial_apply requires separable input")
@@ -107,39 +89,38 @@ class HausdorffOperator:
         rs = radii.ravel()
         if np.any(rs <= 0):
             raise ValueError("evaluation at the origin is out of scope")
-        sf = self.sphere_factor(f, tol / 3.0)
-        fl, fh = f.support
-        if math.isfinite(fh):
-            philo, phihi = self.phi.support
-            lo = np.maximum(fl, rs / phihi)
-            hi = np.minimum(fh, rs / philo) if philo > 0.0 else np.full(rs.shape, fh)
-
-            def e0_s():  # Phi(r/s)/s g(s) ~ s^{-phinf - 1 + e} as s -> 0
-                ez, phinf = f.radial_exponent_at_zero, self.phi.exponent_at_infinity
-                if phinf == -math.inf or ez == math.inf:
-                    return math.inf
-                if ez is None:
-                    raise ValueError(f"test function {f.name!r} needs a radial exponent at 0")
-                return -phinf - 1.0 + ez
-
-            out = _per_radius(lambda s, radius: self.phi(radius / s) / s * f.radial_values(s), rs, lo, hi,
-                              np.tile(f.cut_radii, (len(rs), 1)), tol / 3.0, e0_s, lambda: None)
-        else:
-            out = self._t_integral(lambda t, radius: self.phi(t) / t * f.radial_values(radius / t), f, rs,
-                                   tol / 3.0)
-        out = sf * out
+        out = self.sphere_factor(f, tol / 3.0) * self._s_integral(f.radial_values, f, rs, tol / 3.0)
         return float(out[0]) if radii.ndim == 0 else out.reshape(radii.shape)
 
-    def _t_integral(self, integrand, f: TestFunction, r: np.ndarray, tol: float) -> np.ndarray:
-        """integrand(t, radius) over the t-range where Phi(t) f(r y'/t) can be
-        nonzero, for every radius r[k], with the endpoint exponents that Phi
-        and f declare and a cut where f jumps (t = r / jump)."""
+    def _s_integral(self, values, f: TestFunction, r: np.ndarray, tol: float) -> np.ndarray:
+        """int Phi(r/s)/s * values(s) ds for every radius r[k], in one
+        ``integrate_intervals`` solve; 0 where the domain is empty.
+
+        The domain is f's support clipped to (r / sup supp Phi, r / inf supp
+        Phi), cut at f's declared jumps, which sit at the same s for every
+        radius.  Phi(r/s) varies around s = r (t = 1), which moves with the
+        radius, so a domain holding r inside is split there into two rows:
+        each row's bounded block then spans at least the 8 octaves next to
+        r before an endpoint expansion starts.  The endpoint exponents
+        (``_s_exponent``) are formed only when some domain reaches that end.
+        """
         (philo, phihi), (fl, fh) = self.phi.support, f.support
-        lo = np.maximum(philo, r / fh if 0.0 < fh < math.inf else np.zeros(r.shape))
-        hi = np.minimum(phihi, r / fl if fl > 0.0 else np.full(r.shape, math.inf))
-        return _per_radius(integrand, r, lo, hi, r[:, None] / np.array(f.cut_radii), tol,
-                           lambda: _combine_exponent_at_zero(self.phi.exponent_at_zero, f.radial_exponent_at_infinity),
-                           lambda: _combine_exponent_at_inf(self.phi.exponent_at_infinity, f.radial_exponent_at_zero))
+        lo = np.maximum(fl, r / phihi)
+        hi = np.minimum(fh, r / philo) if philo > 0.0 else np.full(r.shape, fh)
+        split = (lo < r) & (r < hi)
+        owner = np.concatenate((np.arange(len(r)), np.flatnonzero(split)))
+        lo, hi = np.concatenate((lo, r[split])), np.concatenate((np.where(split, r, hi), hi[split]))
+        live = hi > lo
+        if not live.any():
+            return np.zeros(len(r))
+        lo, hi, rl = lo[live], hi[live], r[owner[live]]
+        e0 = _s_exponent(self.phi.exponent_at_infinity, f.radial_exponent_at_zero, math.inf, "zero") \
+            if (lo == 0.0).any() else None
+        einf = _s_exponent(self.phi.exponent_at_zero, f.radial_exponent_at_infinity, -math.inf, "infinity") \
+            if np.isinf(hi).any() else None
+        parts = integrate_intervals(lambda s, i: self.phi(rl[i] / s) / s * values(s), lo, hi, tol, e0, einf,
+                                    align=np.tile(f.cut_radii, (len(rl), 1))).value
+        return np.bincount(owner[live], parts, len(r))
 
     def apply(self, f: TestFunction, x, tol: float = 1e-9) -> float:
         """Transform value at a single point x != 0."""
@@ -149,14 +130,9 @@ class HausdorffOperator:
             raise ValueError("evaluation at the origin is out of scope")
         if f.separable:
             return self.radial_apply(f, r, tol)
-
         pts, w = sphere_nodes(self.dim, 6 if self.dim > 1 else 0)
         weights = w * self.omega(pts)
-
-        def integrand(t, radius):
-            return self.phi(t) / t * _sphere_sums(f, radius / t, pts, weights)
-
-        return float(self._t_integral(integrand, f, np.array([r]), tol / 3.0)[0])
+        return float(self._s_integral(lambda s: _sphere_sums(f, s, pts, weights), f, np.array([r]), tol / 3.0)[0])
 
     def image(self, f: TestFunction, tol: float = 1e-9) -> TestFunction:
         """The output as a radial TestFunction whose profile solves each batch
@@ -213,10 +189,8 @@ def adjoint_hardy_apply(f: TestFunction, x, n: int, tol: float = 1e-9) -> float:
         rr = np.linalg.norm(pts, axis=1)
         return np.asarray(f(pts), dtype=float) / rr ** n
 
-    einf = None
-    if f.radial_exponent_at_infinity is not None:
-        einf = f.radial_exponent_at_infinity - n
-    res = integrate_region(n, g, Shell(r, math.inf), tol, radial_exponent_at_infinity=einf)
+    res = integrate_region(n, g, Shell(r, math.inf), tol,
+                           radial_exponent_at_infinity=_shift(f.radial_exponent_at_infinity, -n))
     return res.value
 
 
@@ -236,13 +210,12 @@ class CommutatorOperator:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         b = self.symbol
         bx = float(b(x[None, :])[0])
-        einf = f.radial_exponent_at_infinity
         g = TestFunction(
             dim=f.dim,
             general=lambda y: np.asarray(f(y), dtype=float) * (bx - np.asarray(b(y), dtype=float)),
             support=f.support,
             radial_exponent_at_zero=f.radial_exponent_at_zero,
-            radial_exponent_at_infinity=einf + b.beta if einf is not None else None,
+            radial_exponent_at_infinity=_shift(f.radial_exponent_at_infinity, b.beta),
             jumps=f.jumps,
             name=f"(b(x)-b)*{f.name}",
         )
@@ -271,52 +244,31 @@ class CommutatorOperator:
                 r = np.asarray(r_batch, dtype=float)
                 return r ** beta * g_img.radial_values(r) - gb_img.radial_values(r)
 
-            lo = min(g_img.support[0], gb_img.support[0])
-            hi = max(g_img.support[1], gb_img.support[1])
-            e0s = [e for e in (
-                (g_img.radial_exponent_at_zero + beta) if g_img.radial_exponent_at_zero is not None else None,
-                gb_img.radial_exponent_at_zero,
-            ) if e is not None]
-            einfs = [e for e in (
-                (g_img.radial_exponent_at_infinity + beta) if g_img.radial_exponent_at_infinity is not None else None,
-                gb_img.radial_exponent_at_infinity,
-            ) if e is not None]
+            # an image always declares both exponents
             return separable(
                 self.base.dim,
                 profile,
-                support=(lo, hi),
-                exponents=(min(e0s) if e0s else None, max(einfs) if einfs else None),
+                support=(min(g_img.support[0], gb_img.support[0]), max(g_img.support[1], gb_img.support[1])),
+                exponents=(min(g_img.radial_exponent_at_zero + beta, gb_img.radial_exponent_at_zero),
+                           max(g_img.radial_exponent_at_infinity + beta, gb_img.radial_exponent_at_infinity)),
                 name=f"[b,T][{f.name}]",
             )
         raise ValueError("whole-space commutator image implemented for radial power symbols")
 
 
 def _multiply_symbol(f: TestFunction, b: LipschitzSymbol) -> TestFunction:
-    """b * f, kept separable when b is radial (|x|^beta) or linear <x, e>."""
-    if f.separable and b.name.startswith("abs_power"):
-        beta = b.beta
-        radial = f.radial_values
-        e0 = f.radial_exponent_at_zero + beta if f.radial_exponent_at_zero is not None else None
-        einf = f.radial_exponent_at_infinity + beta if f.radial_exponent_at_infinity is not None else None
+    """b * f, kept separable when b is radial (|x|^beta) or linear
+    (<x, e> = |x| <x', e>, beta = 1): |x|^beta joins the radial factor and
+    a linear symbol's <x', e> the angular one."""
+    radial_symbol = b.name.startswith("abs_power")
+    if f.separable and (radial_symbol or b.name == "linear"):
+        beta, radial, angular = b.beta, f.radial_values, f.angular_values
         return separable(
             f.dim,
             lambda r: np.asarray(r, dtype=float) ** beta * radial(r),
-            f.angular,
+            f.angular if radial_symbol else lambda pts: b(pts) * angular(pts),
             support=f.support,
-            exponents=(e0, einf),
-            name=f"b*{f.name}",
-        )
-    if f.separable and b.name == "linear":
-        radial = f.radial_values
-        angular = f.angular_values
-        e0 = f.radial_exponent_at_zero + 1.0 if f.radial_exponent_at_zero is not None else None
-        einf = f.radial_exponent_at_infinity + 1.0 if f.radial_exponent_at_infinity is not None else None
-        return separable(
-            f.dim,
-            lambda r: np.asarray(r, dtype=float) * radial(r),
-            lambda pts: np.asarray(b(pts), dtype=float) * angular(pts),
-            support=f.support,
-            exponents=(e0, einf),
+            exponents=(_shift(f.radial_exponent_at_zero, beta), _shift(f.radial_exponent_at_infinity, beta)),
             name=f"b*{f.name}",
         )
     general = lambda x: np.asarray(f(x), dtype=float) * np.asarray(b(x), dtype=float)

@@ -266,6 +266,11 @@ def _rho_per_octave(exponent: float | None, direction: int) -> float | None:
     return 2.0 ** (direction * (exponent + 1.0))
 
 
+def _shift(exponent: float | None, c: float) -> float | None:
+    """A declared exponent shifted by c; None (undeclared) stays None."""
+    return None if exponent is None else exponent + c
+
+
 def integrate_interval(
     g: Callable[[np.ndarray], np.ndarray],
     a: float,
@@ -512,16 +517,18 @@ def integrate_shells(
             out[sel] = _sphere_sums(f, r[sel], pts, w)
         return out * r ** (n - 1)
 
-    e0 = None if radial_exponent_at_zero is None else radial_exponent_at_zero + (n - 1)
-    einf = None if radial_exponent_at_infinity is None else radial_exponent_at_infinity + (n - 1)
-    return integrate_intervals(radial, a, b, tol, e0, einf, align=np.tile(align, (len(a), 1)) if len(align) else None)
+    return integrate_intervals(radial, a, b, tol, _shift(radial_exponent_at_zero, n - 1),
+                               _shift(radial_exponent_at_infinity, n - 1),
+                               align=np.tile(align, (len(a), 1)) if len(align) else None)
 
 
 def _sphere_levels(n: int, f, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     """Per shell, the sphere rule level one above the first level whose
     refinement moves the sphere sum of f by at most max(1e-3 tol,
-    0.1 tol / max(b - a, 1)) at all five probe radii.  Raises
-    ToleranceNotMetError when a shell is still undecided at ``_SPHERE_TOP``."""
+    0.1 tol / max(b - a, 1)) at all five probe radii.  Each level's sums
+    are evaluated once: the finer sums of the shells still undecided are
+    the coarser sums of the next step.  Raises ToleranceNotMetError when a
+    shell is still undecided at ``_SPHERE_TOP``."""
     level = np.zeros(len(a), dtype=int)
     if n == 1:
         return level
@@ -533,12 +540,12 @@ def _sphere_levels(n: int, f, a: np.ndarray, b: np.ndarray, tol: float) -> np.nd
     probes = np.geomspace(np.maximum(lo, 1e-12), hi, 5, axis=1)
     gate = np.maximum(tol * 1e-3, tol / np.maximum(np.where(finite, b - a, 1.0), 1.0) * 0.1)
     undecided = np.arange(len(a))
+    coarse = _sphere_sums(f, probes.ravel(), *sphere_nodes(n, 0)).reshape(-1, 5)
     for lv in range(_SPHERE_TOP[n]):
-        r = probes[undecided].ravel()
-        change = _sphere_sums(f, r, *sphere_nodes(n, lv)) - _sphere_sums(f, r, *sphere_nodes(n, lv + 1))
-        done = np.abs(change).reshape(-1, 5).max(axis=1) <= gate[undecided]
+        fine = _sphere_sums(f, probes[undecided].ravel(), *sphere_nodes(n, lv + 1)).reshape(-1, 5)
+        done = np.abs(coarse - fine).max(axis=1) <= gate[undecided]
         level[undecided[done]] = lv + 1
-        undecided = undecided[~done]
+        undecided, coarse = undecided[~done], fine[~done]
         if not undecided.size:
             return level
     raise ToleranceNotMetError(f"sphere rule undecided at level {_SPHERE_TOP[n]}")

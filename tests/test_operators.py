@@ -3,7 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy import special
 
 from rough_hausdorff.functions import (
     AngularProfile,
@@ -118,15 +119,20 @@ def test_commutator_identity_many_points():
 
 def test_separable_fast_path_matches_nested():
     om = AngularProfile.from_expression("2 + cos(theta)", 2, nonvanishing=True)
-    op = HausdorffOperator(kernel_presets("hardy", 2), om, 2)
-    f_sep = separable(2, lambda r: np.where((np.asarray(r) > 0.5) & (np.asarray(r) <= 2.0),
+    shell = separable(2, lambda r: np.where((np.asarray(r) > 0.5) & (np.asarray(r) <= 2.0),
                                             np.asarray(r) ** 0.5, 0.0),
                       lambda p: 2.0 + p[:, 0], support=(0.5, 2.0))
-    f_gen = TestFunction(dim=2, general=lambda x: f_sep(x), support=(0.5, 2.0))
-    for r in (0.8, 1.3, 2.6):
-        v1 = op.apply(f_sep, [r, 0.0], tol=1e-10)
-        v2 = op.apply(f_gen, [r, 0.0], tol=1e-10)
-        assert v1 == pytest.approx(v2, rel=1e-8, abs=1e-10)
+    # unbounded: adjoint Hardy's s-range (max(r, 0.5), inf) reaches s = inf
+    tail = separable(2, lambda r: np.asarray(r, dtype=float) ** -0.5, lambda p: 2.0 + p[:, 0],
+                     support=(0.5, math.inf), exponents=(None, -0.5))
+    for kernel, f_sep in ((kernel_presets("hardy", 2), shell), (kernel_presets("adjoint_hardy"), tail)):
+        op = HausdorffOperator(kernel, om, 2)
+        f_gen = TestFunction(dim=2, general=f_sep, support=f_sep.support,
+                             radial_exponent_at_infinity=f_sep.radial_exponent_at_infinity)
+        for r in (0.8, 1.3, 2.6):
+            v1 = op.apply(f_sep, [r, 0.0], tol=1e-10)
+            v2 = op.apply(f_gen, [r, 0.0], tol=1e-10)
+            assert v1 == pytest.approx(v2, rel=1e-8, abs=1e-10)
 
 
 def test_radial_covariance():
@@ -182,7 +188,7 @@ def _batch_inputs(n):
         indicator_shell(n, 0.5, 2.0),
         bump,
         indicator_shell(n, 0.0, 1.0),  # support reaching 0: the expansion path
-        power_function(n, -0.3),  # unbounded: the t-path
+        power_function(n, -0.3),  # unbounded: an s-range reaching 0 (Hardy) or infinity (adjoint Hardy)
     ]
 
 
@@ -271,8 +277,8 @@ def test_batched_hardy_bump_closed_form(n, shift, lo, ratio, radii):
 
 
 def test_nested_commutator_apply_keeps_memory_small():
-    # a general input expands every t-node over the 1024 circle nodes of
-    # level 6; a breadth-first level holds hundreds of t-nodes at once
+    # a general input expands every s-node over the 1024 circle nodes of
+    # level 6; a breadth-first level holds hundreds of s-nodes at once
     n, e, beta, r = 2, 0.3, 0.5, 1.3
     op = HausdorffOperator(kernel_presets("hardy", n), AngularProfile.constant(1.0, n), n)
     cop = CommutatorOperator(op, lipschitz_presets("power", beta, n))
@@ -289,6 +295,7 @@ def test_nested_commutator_apply_keeps_memory_small():
 
 
 _RADII = st.lists(st.floats(min_value=0.05, max_value=40.0), min_size=1, max_size=12)
+_LOG_RADII = st.lists(st.floats(min_value=-3.0, max_value=3.0).map(lambda u: 10.0 ** u), min_size=1, max_size=12)
 
 
 def _matches_closed_form_and_scalar_calls(op, f, radii, want):
@@ -302,7 +309,7 @@ def _matches_closed_form_and_scalar_calls(op, f, radii, want):
 @given(st.sampled_from([1, 2]), st.booleans(), st.floats(min_value=0.05, max_value=0.95), _RADII)
 def test_batched_image_of_powers_matches_mellin_closed_form(n, adjoint, shape, radii):
     # T|x|^e = sf r^e int Phi(t) t^(-1-e) dt: 1/(n + e) for Hardy (e > -n),
-    # -1/e for adjoint Hardy (e < 0); an unbounded input takes the t-path
+    # -1/e for adjoint Hardy (e < 0); the s-range is (0, r) for Hardy, (r, inf) for adjoint Hardy
     e = -n + shape * (n + 1.5) if not adjoint else -2.0 * shape
     kernel = kernel_presets("adjoint_hardy") if adjoint else kernel_presets("hardy", n)
     op = HausdorffOperator(kernel, AngularProfile.constant(1.0, n), n)
@@ -313,16 +320,67 @@ def test_batched_image_of_powers_matches_mellin_closed_form(n, adjoint, shape, r
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.sampled_from([1, 2]), st.booleans(), st.floats(min_value=0.1, max_value=8.0), _RADII)
-def test_batched_image_of_ball_indicators_matches_closed_form(n, adjoint, b, radii):
+@given(st.sampled_from([1, 2]), st.sampled_from(["hardy", "adjoint_hardy", "gaussian"]),
+       st.floats(min_value=0.1, max_value=8.0), _LOG_RADII)
+@example(1, "gaussian", 1.0, [1e-9, 1e-3])
+def test_batched_image_of_ball_indicators_matches_closed_form(n, kind, b, radii):
     # f = 1 on (0, b]: Hardy's s-domain (0, min(r, b)) reaches 0, giving
-    # sf min(r, b)^n / (n r^n); adjoint Hardy gives sf ln(b / r) for r < b
-    kernel = kernel_presets("adjoint_hardy") if adjoint else kernel_presets("hardy", n)
+    # sf min(r, b)^n / (n r^n); adjoint Hardy gives sf ln(b / r) for r < b.
+    # The gaussian's s-domain (0, b) holds s = r for r < b, where Phi(r/s)
+    # sets in, and gives sf int_{r/b}^inf exp(-t^2)/t dt = sf E1((r/b)^2) / 2
+    kernel = kernel_presets("hardy", n) if kind == "hardy" else kernel_presets(kind)
     op = HausdorffOperator(kernel, AngularProfile.constant(1.0, n), n)
     r = np.array(radii)
     sf = 2.0 if n == 1 else 2.0 * math.pi
-    if adjoint:
+    if kind == "hardy":
+        want = sf * np.minimum(r, b) ** n / (n * r ** n)
+    elif kind == "adjoint_hardy":
         want = sf * np.log(np.maximum(b / r, 1.0))
     else:
-        want = sf * np.minimum(r, b) ** n / (n * r ** n)
+        want = 0.5 * sf * special.exp1((r / b) ** 2)
     _matches_closed_form_and_scalar_calls(op, indicator_shell(n, 0.0, b), r, want)
+
+
+def _kernel_and_multiplier(kind, e, d):
+    """A kernel preset and its Mellin multiplier int Phi(t) t^(-1-e) dt at e;
+    the power kernel's range and exponent a = e -+ d keep the integral finite."""
+    if kind == "gaussian":
+        return kernel_presets("gaussian"), 0.5 * math.gamma(-e / 2.0)
+    if kind == "double_exp":
+        return kernel_presets("double_exp"), 2.0 * special.kv(e, 2.0)
+    lo, hi = {"power_to_0": (0.0, 2.0), "power_to_inf": (0.5, math.inf), "power": (0.5, 2.0)}[kind]
+    a = e + d if lo == 0.0 else e - d
+    top = 0.0 if math.isinf(hi) else hi ** (a - e)
+    return kernel_presets("power", a, lo, hi), (top - lo ** (a - e)) / (a - e)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([1, 2]),
+    st.sampled_from(["gaussian", "double_exp", "power_to_0", "power_to_inf", "power"]),
+    st.floats(min_value=-1.7, max_value=-0.2),
+    st.floats(min_value=0.0, max_value=1.5),
+    st.floats(min_value=0.3, max_value=1.5),
+    _LOG_RADII,
+)
+def test_powers_under_other_kernels_match_mellin_multipliers(n, kind, e, lift, d, radii):
+    # T|x|^e = sf r^e int Phi(t) t^(-1-e) dt.  Under the gaussian and double_exp
+    # kernels the s-range of a power is all of (0, inf), so both endpoint
+    # expansions run; power(a, lo, hi) reaches infinity from lo = 0 and 0 from
+    # hi = inf.  double_exp converges for every e, so it also takes e >= 0
+    if kind == "double_exp":
+        e += lift
+    kernel, multiplier = _kernel_and_multiplier(kind, e, d)
+    op = HausdorffOperator(kernel, AngularProfile.constant(1.0, n), n)
+    f = power_function(n, e)
+    r = np.array(radii)
+    sf = 2.0 if n == 1 else 2.0 * math.pi
+    want = sf * r ** e * multiplier
+    # tol is absolute: a small value at a large radius may be off by 1e-10
+    np.testing.assert_allclose(op.radial_apply(f, r, tol=1e-10), want, rtol=1e-9, atol=1e-10)
+    # the nested path on a general twin, at the first radius
+    twin = TestFunction(dim=n, general=f, radial_exponent_at_zero=e, radial_exponent_at_infinity=e)
+    x = np.zeros(n)
+    x[0] = r[0]
+    assert op.apply(twin, x, tol=1e-10) == pytest.approx(want[0], rel=1e-9, abs=1e-10)
+

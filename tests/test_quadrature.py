@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rough_hausdorff import quadrature
+from rough_hausdorff.functions import TestFunction
 from rough_hausdorff.quadrature import (
     Annulus,
     Ball,
@@ -23,6 +25,7 @@ from rough_hausdorff.quadrature import (
     _XK,
     _judge,
     _panels_breadth_first,
+    _sphere_levels,
     integrate_interval,
     integrate_intervals,
     integrate_region,
@@ -402,3 +405,25 @@ def test_intervals_memory_stays_bounded_in_blocks():
         tracemalloc.stop()
     assert peak < 8e6
     np.testing.assert_allclose(values, np.log(b / a), rtol=1e-12)
+
+
+def test_sphere_levels_evaluate_each_level_once(monkeypatch):
+    # a general n = 3 function peaked toward x' = e1: its shells settle at
+    # levels 3, 4 and 3, so the undecided set shrinks between steps
+    seen = []
+    original = quadrature._sphere_sums
+
+    def counted(f, radii, pts, w):
+        seen.extend((len(w), float(r)) for r in radii)
+        return original(f, radii, pts, w)
+
+    monkeypatch.setattr(quadrature, "_sphere_sums", counted)
+
+    def peaked(x):
+        r = np.linalg.norm(x, axis=1)
+        return r / (1.1 - x[:, 0] / r)
+
+    f = TestFunction(dim=3, general=peaked, support=(0.5, 4.0))
+    level = _sphere_levels(3, f, np.array([1.0, 0.5, 1.5]), np.array([2.0, 4.0, 1.7]), 1e-10)
+    assert level.tolist() == [3, 4, 3]
+    assert len(seen) == len(set(seen))  # no (level, probe radius) is summed twice
