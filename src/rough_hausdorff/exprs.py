@@ -98,7 +98,7 @@ def compile_expression(source: str, variables: tuple[str, ...]):
         "cos": np.cos,
         "sin": np.sin,
         "abs": np.abs,
-        "pow": lambda x, a: np.power(np.asarray(x, dtype=float), a),  # float base: pow(2, -20) is 2**-20
+        "pow": np.float_power,  # float base: pow(2, -20) is 2**-20
         "indicator": _indicator,
         **_CONSTANTS,
         "__builtins__": {},

@@ -15,7 +15,9 @@ on the radius.  For separable f = g(|x|) h(x/|x|) the sphere factor
 int Omega h dsigma splits off and ``radial_apply`` solves the s-integral
 of Phi(r/s)/s * g(s) for all the radii it is given in one
 ``integrate_intervals`` call.  The nested general path (``apply``) takes
-sphere sums of f in place of g; the two must agree.
+sphere sums of f in place of g; the two must agree.  The commutator image
+with b = |x|^beta is one row of the same solve per radius, of
+Phi(r/s)/s * (r^beta - s^beta) g(s); one builder declares both images.
 
 Pointwise tolerances are split three ways across nesting levels so the
 composed error stays under the requested tolerance.
@@ -24,7 +26,7 @@ composed error stays under the requested tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -89,12 +91,14 @@ class HausdorffOperator:
         rs = radii.ravel()
         if np.any(rs <= 0):
             raise ValueError("evaluation at the origin is out of scope")
-        out = self.sphere_factor(f, tol / 3.0) * self._s_integral(f.radial_values, f, rs, tol / 3.0)
+        out = self.sphere_factor(f, tol / 3.0) * self._s_integral(lambda s, _: f.radial_values(s), f, rs, tol / 3.0)
         return float(out[0]) if radii.ndim == 0 else out.reshape(radii.shape)
 
     def _s_integral(self, values, f: TestFunction, r: np.ndarray, tol: float) -> np.ndarray:
-        """int Phi(r/s)/s * values(s) ds for every radius r[k], in one
-        ``integrate_intervals`` solve; 0 where the domain is empty.
+        """int Phi(r/s)/s * values(s, r) ds for every radius r[k], in one
+        ``integrate_intervals`` solve; 0 where the domain is empty.  ``values``
+        gets each point's row radius; f declares the support, jumps and
+        endpoint exponents of ``values``.
 
         The domain is f's support clipped to (r / sup supp Phi, r / inf supp
         Phi), cut at f's declared jumps, which sit at the same s for every
@@ -118,7 +122,7 @@ class HausdorffOperator:
             if (lo == 0.0).any() else None
         einf = _s_exponent(self.phi.exponent_at_zero, f.radial_exponent_at_infinity, -math.inf, "infinity") \
             if np.isinf(hi).any() else None
-        parts = integrate_intervals(lambda s, i: self.phi(rl[i] / s) / s * values(s), lo, hi, tol, e0, einf,
+        parts = integrate_intervals(lambda s, i: self.phi(rl[i] / s) / s * values(s, rl[i]), lo, hi, tol, e0, einf,
                                     align=np.tile(f.cut_radii, (len(rl), 1))).value
         return np.bincount(owner[live], parts, len(r))
 
@@ -132,11 +136,18 @@ class HausdorffOperator:
             return self.radial_apply(f, r, tol)
         pts, w = sphere_nodes(self.dim, 6 if self.dim > 1 else 0)
         weights = w * self.omega(pts)
-        return float(self._s_integral(lambda s: _sphere_sums(f, s, pts, weights), f, np.array([r]), tol / 3.0)[0])
+        return float(self._s_integral(lambda s, _: _sphere_sums(f, s, pts, weights), f, np.array([r]), tol / 3.0)[0])
 
     def image(self, f: TestFunction, tol: float = 1e-9) -> TestFunction:
         """The output as a radial TestFunction whose profile solves each batch
         of positive radii in one ``radial_apply`` call (0 at r = 0)."""
+        return self._radial_image(f, lambda r: self.radial_apply(f, r, tol), 0.0, f"T[{f.name}]")
+
+    def _radial_image(self, f: TestFunction, solve, beta: float, name: str) -> TestFunction:
+        """The radial output of separable f whose profile solves each batch of
+        positive radii in one ``solve`` call (0 at r = 0), on f's support times
+        Phi's, with exponents min(phi_0, e_0 + beta) at 0 and
+        max(phi_inf, e_inf) + beta at infinity (beta = 0 for T)."""
         if not f.separable:
             raise ValueError("image construction requires separable input")
 
@@ -145,24 +156,15 @@ class HausdorffOperator:
             vals = np.zeros(radii.shape)
             pos = radii > 0
             if np.any(pos):
-                vals[pos] = self.radial_apply(f, radii[pos], tol)
+                vals[pos] = solve(radii[pos])
             return vals
 
-        phi = self.phi
-        fl, fh = f.support
-        lo_img = fl * phi.support[0]
-        hi_img = fh * phi.support[1]
-        e0_img = min(phi.exponent_at_zero, f.radial_exponent_at_zero if f.radial_exponent_at_zero is not None else math.inf)
-        einf_img = max(
-            phi.exponent_at_infinity,
-            f.radial_exponent_at_infinity if f.radial_exponent_at_infinity is not None else -math.inf,
-        )
+        phi, e0, einf = self.phi, f.radial_exponent_at_zero, f.radial_exponent_at_infinity
         return separable(
-            self.dim,
-            profile,
-            support=(lo_img, hi_img if hi_img == hi_img else math.inf),
-            exponents=(e0_img, einf_img),
-            name=f"T[{f.name}]",
+            self.dim, profile, support=(f.support[0] * phi.support[0], f.support[1] * phi.support[1]),
+            exponents=(min(phi.exponent_at_zero, math.inf if e0 is None else e0 + beta),
+                       max(phi.exponent_at_infinity, -math.inf if einf is None else einf) + beta),
+            name=name,
         )
 
 
@@ -202,24 +204,12 @@ class CommutatorOperator:
     symbol: LipschitzSymbol
 
     def apply(self, f: TestFunction, x, tol: float = 1e-9) -> float:
-        """The commutator at x: T applied to g(y) = f(y) (b(x) - b(y)).
-
-        g keeps f's support, jumps and exponent at 0; near infinity
-        |b(x) - b(y)| grows like |y|^beta, which raises the exponent there.
-        """
+        """The commutator at x: T applied to g(y) = f(y) (b(x) - b(y)), whose
+        multiplier grows like |y|^beta near infinity (``_product``)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         b = self.symbol
         bx = float(b(x[None, :])[0])
-        g = TestFunction(
-            dim=f.dim,
-            general=lambda y: np.asarray(f(y), dtype=float) * (bx - np.asarray(b(y), dtype=float)),
-            support=f.support,
-            radial_exponent_at_zero=f.radial_exponent_at_zero,
-            radial_exponent_at_infinity=_shift(f.radial_exponent_at_infinity, b.beta),
-            jumps=f.jumps,
-            name=f"(b(x)-b)*{f.name}",
-        )
-        return self.base.apply(g, x, tol)
+        return self.base.apply(_product(f, lambda y: bx - b(y), b.beta, f"(b(x)-b)*{f.name}"), x, tol)
 
     def apply_expanded(self, f: TestFunction, x, tol: float = 1e-9) -> float:
         """b(x) (T f)(x) - T(b f)(x); must match ``apply`` to tolerance."""
@@ -231,29 +221,38 @@ class CommutatorOperator:
     def image(self, f: TestFunction, tol: float = 1e-9) -> TestFunction:
         """Whole-space commutator output for separable f and radial-power b.
 
-        Requires a radial symbol b = |x|^beta so that b f stays separable;
-        the output is then radial.
+        With b = |x|^beta the output is radial: at radius r it is
+        sf * int Phi(r/s)/s * (r^beta - s^beta) g(s) ds, one ``_s_integral``
+        solve per profile batch.  r^beta - s^beta is bounded near s = 0 and
+        grows like s^beta, so f declares the integrand with its exponent at
+        infinity raised by beta.
         """
-        b = self.symbol
-        if b.name.startswith("abs_power"):
-            g_img = self.base.image(f, tol)
-            gb_img = self.base.image(_multiply_symbol(f, b), tol)
-            beta = b.beta
+        b, base = self.symbol, self.base
+        if not b.name.startswith("abs_power"):
+            raise ValueError("whole-space commutator image implemented for radial power symbols")
+        beta = b.beta
+        declared = replace(f, radial_exponent_at_infinity=_shift(f.radial_exponent_at_infinity, beta))
 
-            def profile(r_batch):
-                r = np.asarray(r_batch, dtype=float)
-                return r ** beta * g_img.radial_values(r) - gb_img.radial_values(r)
+        def solve(r):
+            values = lambda s, rk: (rk ** beta - s ** beta) * f.radial_values(s)
+            return base.sphere_factor(f, tol / 3.0) * base._s_integral(values, declared, r, tol / 3.0)
 
-            # an image always declares both exponents
-            return separable(
-                self.base.dim,
-                profile,
-                support=(min(g_img.support[0], gb_img.support[0]), max(g_img.support[1], gb_img.support[1])),
-                exponents=(min(g_img.radial_exponent_at_zero + beta, gb_img.radial_exponent_at_zero),
-                           max(g_img.radial_exponent_at_infinity + beta, gb_img.radial_exponent_at_infinity)),
-                name=f"[b,T][{f.name}]",
-            )
-        raise ValueError("whole-space commutator image implemented for radial power symbols")
+        return base._radial_image(f, solve, beta, f"[b,T][{f.name}]")
+
+
+def _product(f: TestFunction, multiplier, beta: float, name: str) -> TestFunction:
+    """f times a multiplier that is bounded near 0 and grows like |y|^beta:
+    f's support, jumps and exponent at 0, its exponent at infinity raised
+    by beta."""
+    return TestFunction(
+        dim=f.dim,
+        general=lambda y: np.asarray(f(y), dtype=float) * np.asarray(multiplier(y), dtype=float),
+        support=f.support,
+        radial_exponent_at_zero=f.radial_exponent_at_zero,
+        radial_exponent_at_infinity=_shift(f.radial_exponent_at_infinity, beta),
+        jumps=f.jumps,
+        name=name,
+    )
 
 
 def _multiply_symbol(f: TestFunction, b: LipschitzSymbol) -> TestFunction:
@@ -269,10 +268,10 @@ def _multiply_symbol(f: TestFunction, b: LipschitzSymbol) -> TestFunction:
             f.angular if radial_symbol else lambda pts: b(pts) * angular(pts),
             support=f.support,
             exponents=(_shift(f.radial_exponent_at_zero, beta), _shift(f.radial_exponent_at_infinity, beta)),
+            jumps=f.jumps,
             name=f"b*{f.name}",
         )
-    general = lambda x: np.asarray(f(x), dtype=float) * np.asarray(b(x), dtype=float)
-    return TestFunction(dim=f.dim, general=general, support=f.support, name=f"b*{f.name}")
+    return _product(f, b, b.beta, f"b*{f.name}")
 
 
 def lipschitz_gap(b: LipschitzSymbol, x, t, yprime) -> tuple[np.ndarray, np.ndarray]:

@@ -16,6 +16,7 @@ from rough_hausdorff.functions import (
     separable,
 )
 from rough_hausdorff import operators
+from rough_hausdorff.harness import default_corpus
 from rough_hausdorff.operators import (
     CommutatorOperator,
     HausdorffOperator,
@@ -101,6 +102,7 @@ def test_commutator_with_constant_symbol_vanishes():
     bc = lipschitz_presets("constant", 1.0, 1)
     f = indicator_shell(1, 0.0, 1.0)
     assert CommutatorOperator(HARDY1, bc).apply(f, [2.0]) == pytest.approx(0.0, abs=1e-12)
+    assert CommutatorOperator(HARDY1, bc).apply_expanded(f, [2.0]) == 0.0  # b f declares f's exponent at 0
 
 
 def test_commutator_identity_many_points():
@@ -384,3 +386,93 @@ def test_powers_under_other_kernels_match_mellin_multipliers(n, kind, e, lift, d
     x[0] = r[0]
     assert op.apply(twin, x, tol=1e-10) == pytest.approx(want[0], rel=1e-9, abs=1e-10)
 
+
+def test_commutator_image_of_a_step_matches_closed_form_in_one_solve_per_batch(monkeypatch):
+    # g = 1 on (0.3, 1.37], 2 on (1.37, 3], the jump declared; b = |x|, Hardy n = 1:
+    # [b, T] f(r) = (2/r) int (r - s) g(s) ds over (0.3, min(r, 3))
+    step = separable(1, lambda r: np.where(np.asarray(r, dtype=float) > 1.37, 2.0, 1.0), support=(0.3, 3.0),
+                     jumps=(1.37,), name="step")
+    calls = []
+    original = operators.integrate_intervals
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "integrate_intervals", counted)
+    r = np.linspace(0.5, 3.0, 40)
+    got = CommutatorOperator(HARDY1, lipschitz_presets("power", 1.0, 1)).image(step, tol=1e-10).radial_values(r)
+    assert calls == [40]  # the batch's 40 radii in one engine call
+
+    def moment(a, c):  # int_a^c (r - s) ds
+        c = np.clip(c, a, None)
+        return r * (c - a) - (c ** 2 - a ** 2) / 2.0
+
+    want = 2.0 / r * (moment(0.3, np.minimum(r, 1.37)) + 2.0 * moment(1.37, np.minimum(r, 3.0)))
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("beta", [0.25, 0.5, 1.0])
+@pytest.mark.parametrize("adjoint", [False, True], ids=["hardy", "adjoint_hardy"])
+def test_commutator_image_of_powers_matches_mellin_multipliers(n, beta, adjoint):
+    # [b, T]|x|^e = sf (M(e) - M(e + beta)) r^(e + beta): M(e) = 1/(n + e) for
+    # Hardy (e > -n), -1/e for adjoint Hardy (e + beta < 0)
+    e = -1.3 if adjoint else -0.4
+    kernel = kernel_presets("adjoint_hardy") if adjoint else kernel_presets("hardy", n)
+    multiplier = (lambda u: -1.0 / u) if adjoint else (lambda u: 1.0 / (n + u))
+    cop = CommutatorOperator(HausdorffOperator(kernel, AngularProfile.constant(1.0, n), n),
+                             lipschitz_presets("power", beta, n))
+    r = np.geomspace(1e-2, 1e2, 9)
+    sf = 2.0 if n == 1 else 2.0 * math.pi
+    want = sf * (multiplier(e) - multiplier(e + beta)) * r ** (e + beta)
+    np.testing.assert_allclose(cop.image(power_function(n, e), tol=1e-10).radial_values(r), want, rtol=1e-8)
+
+
+@pytest.mark.parametrize("op", _batch_operators(), ids=lambda op: op.phi.name)
+def test_commutator_image_matches_pointwise_commutators(op):
+    cop = CommutatorOperator(op, lipschitz_presets("power", 0.5, op.dim))
+    radii = np.array([0.3, 0.7, 1.3, 2.5, 8.0])
+    for f in _batch_inputs(op.dim)[:3]:  # the shells and the bump
+        img = cop.image(f, tol=1e-10).radial_values(radii)
+        for r, value in zip(radii, img):
+            x = np.zeros(op.dim)
+            x[0] = r
+            assert value == pytest.approx(cop.apply(f, x, tol=1e-10), rel=0.0, abs=1e-9), f.name
+            assert value == pytest.approx(cop.apply_expanded(f, x, tol=1e-10), rel=0.0, abs=1e-9), f.name
+
+
+@pytest.mark.parametrize("kernel", [kernel_presets("hardy", 1), kernel_presets("adjoint_hardy"),
+                                    kernel_presets("power", -0.5, 0.5, 4.0), kernel_presets("gaussian")],
+                         ids=lambda k: k.name)
+def test_commutator_image_declares_the_merged_images_of_f_and_bf(kernel):
+    # the declaration of r^beta T f - T(b f) built from the two images
+    op = HausdorffOperator(kernel, AngularProfile.constant(1.0, 1), 1)
+    b = lipschitz_presets("power", 0.5, 1)
+    for f in default_corpus(1, op.omega, 2.0) + [power_function(1, -0.3)]:
+        tf, tbf = op.image(f), op.image(operators._multiply_symbol(f, b))
+        img = CommutatorOperator(op, b).image(f)
+        assert img.support == (min(tf.support[0], tbf.support[0]), max(tf.support[1], tbf.support[1])), f.name
+        assert img.radial_exponent_at_zero == min(tf.radial_exponent_at_zero + 0.5, tbf.radial_exponent_at_zero)
+        assert img.radial_exponent_at_infinity == max(tf.radial_exponent_at_infinity + 0.5,
+                                                      tbf.radial_exponent_at_infinity)
+
+
+def test_expanded_commutator_on_a_general_input_with_a_jump():
+    # b f of a general f keeps its jump and its exponent 0 at 0
+    f = TestFunction(dim=1, general=lambda x: np.where(np.abs(x[:, 0]) > 0.5, 2.0, 1.0) * (x[:, 0] > 0),
+                     support=(0.0, 2.0), radial_exponent_at_zero=0.0, jumps=(0.5,))
+    cop = CommutatorOperator(HARDY1, lipschitz_presets("power", 0.5, 1))
+    for r in (0.3, 0.5, 1.1, 3.0):
+        want = cop.apply(f, [r], tol=1e-10)
+        assert cop.apply_expanded(f, [r], tol=1e-10) == pytest.approx(want, rel=1e-9, abs=1e-11)
+
+
+def test_symbol_products_keep_the_jumps():
+    bump = _batch_inputs(1)[1]
+    general = TestFunction(dim=1, general=bump, support=bump.support, jumps=bump.jumps)
+    b = lipschitz_presets("power", 0.5, 1)
+    assert operators._multiply_symbol(bump, b).separable
+    assert operators._multiply_symbol(bump, b).jumps == bump.jumps == (1.0,)
+    assert operators._multiply_symbol(general, b).jumps == general.jumps
+    assert operators._multiply_symbol(bump, lipschitz_presets("constant", 1.0, 1)).jumps == bump.jumps
